@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -443,83 +444,60 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	}
 
 	var (
-		accesses map[int32][]replay.Access
-		det      race.ReportSink
+		recon map[int32]threadRecon
+		det   race.ReportSink
+		terrs []*ThreadError
 	)
 	if workers > 1 {
 		spanStream := tel.StartSpan("reconstruct+detect")
-		var rstats replay.Stats
-		var reconT, detT time.Duration
-		var terrs []*ThreadError
-		accesses, rstats, det, reconT, detT, terrs = streamPass(engine, tts, tr.Sync, workers, shards, ropts, retries)
+		recon, det, res.ReconstructTime, res.DetectTime, terrs = streamPass(engine, tts, tr.Sync, workers, shards, ropts, retries)
 		spanStream.End()
 		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
 			return nil, err
 		}
-		res.ReplayStats = rstats
-		res.ReconstructTime, res.DetectTime = reconT, detT
 	} else {
 		t1 := time.Now()
 		spanRecon := tel.StartSpan("reconstruct")
-		var rstats replay.Stats
-		var terrs []*ThreadError
-		accesses, rstats, terrs = reconstructGuarded(engine, tts, retries)
+		recon, terrs = reconstructThreads(engine, tts, sortedTIDs(tts), 1, retries, tel, nil)
 		spanRecon.End()
 		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
 			return nil, err
 		}
 		res.ReconstructTime = time.Since(t1)
-		res.ReplayStats = rstats
 
 		t2 := time.Now()
 		spanDetect := tel.StartSpan("detect")
-		det = newReportSink(shards, ropts)
-		race.Feed(det, tr.Sync, accesses)
-		det.Finish()
+		det = detect(shards, ropts, tr.Sync, accessesOf(recon))
 		spanDetect.End()
 		res.DetectTime = time.Since(t2)
 	}
+	res.ReplayStats = statsOf(recon)
+	accesses := accessesOf(recon)
 
 	// §5.1 feedback: if races were found and reconstruction used memory
 	// emulation, regenerate the trace with the racy locations invalidated
 	// so no reconstructed address depended on racy emulated memory, then
-	// detect again.
-	if !opts.DisableRaceFeedback && opts.Mode != replay.ModeBasicBlock &&
-		!opts.DisableMemoryEmulation && len(det.RacyAddrSet()) > 0 {
+	// detect again if that changed the trace.
+	if racy := det.RacyAddrSet(); !opts.DisableRaceFeedback && opts.Mode != replay.ModeBasicBlock &&
+		!opts.DisableMemoryEmulation && len(racy) > 0 {
 		spanFeedback := tel.StartSpan("feedback")
-		engine2 := replay.NewEngine(p, replay.Config{Mode: opts.Mode, InvalidAddrs: det.RacyAddrSet(), Telemetry: tel})
-		if workers > 1 {
-			// The streamed pass detects while it reconstructs; adopt its
-			// output only when the invalidation actually changed the trace.
-			accesses2, rstats2, det2, reconT2, detT2, terrs2 := streamPass(engine2, tts, tr.Sync, workers, shards, ropts, retries)
-			if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
-				return nil, err
-			}
-			res.ReconstructTime += reconT2
-			if rstats2.InvalidHits > 0 {
-				res.DetectTime += detT2
-				det = det2
-				res.ReplayStats = rstats2
-				accesses = accesses2
-				res.Regenerated = true
-			}
-		} else {
-			t1b := time.Now()
-			accesses2, rstats2, terrs2 := reconstructGuarded(engine2, tts, retries)
-			if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
-				return nil, err
-			}
-			res.ReconstructTime += time.Since(t1b)
-			if rstats2.InvalidHits > 0 {
-				t2b := time.Now()
-				det2 := newReportSink(shards, ropts)
-				race.Feed(det2, tr.Sync, accesses2)
-				det2.Finish()
-				res.DetectTime += time.Since(t2b)
-				det = det2
-				res.ReplayStats = rstats2
-				accesses = accesses2
-				res.Regenerated = true
+		t1 := time.Now()
+		engine2 := replay.NewEngine(p, replay.Config{Mode: opts.Mode, InvalidAddrs: racy, Telemetry: tel})
+		recon2, changed, terrs2 := regenerate(engine2, racy, tts, recon, workers, retries, tel)
+		if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
+			return nil, err
+		}
+		res.ReconstructTime += time.Since(t1)
+		// Adopt the regeneration only when the invalidation touched the
+		// trace at all.
+		if rstats2 := statsOf(recon2); rstats2.InvalidHits > 0 {
+			res.ReplayStats = rstats2
+			accesses = accessesOf(recon2)
+			res.Regenerated = true
+			if changed {
+				t2 := time.Now()
+				det = detect(shards, ropts, tr.Sync, accesses)
+				res.DetectTime += time.Since(t2)
 			}
 		}
 		spanFeedback.End()
@@ -584,29 +562,85 @@ func synthesizeGuarded(p *prog.Program, tr *tracefmt.Trace, sopts synthesis.Opti
 	return out, nil
 }
 
-// reconstructGuarded is the sequential reconstruction pass with per-thread
-// error isolation; failures are returned for the caller to absorb or
-// abort on.
-func reconstructGuarded(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, retries int) (map[int32][]replay.Access, replay.Stats, []*ThreadError) {
-	out := make(map[int32][]replay.Access, len(tts))
+// threadRecon is one thread's reconstruction: its accesses and stats, and
+// the load log the §5.1 feedback decides reuse from (nil when the engine
+// kept none).
+type threadRecon struct {
+	acc []replay.Access
+	st  replay.Stats
+	log *replay.LoadLog
+}
+
+// accessesOf is the per-thread extended memory trace of a reconstruction.
+func accessesOf(recon map[int32]threadRecon) map[int32][]replay.Access {
+	out := make(map[int32][]replay.Access, len(recon))
+	for tid, r := range recon {
+		out[tid] = r.acc
+	}
+	return out
+}
+
+// statsOf aggregates a reconstruction's per-thread stats.
+func statsOf(recon map[int32]threadRecon) replay.Stats {
 	var agg replay.Stats
-	var terrs []*ThreadError
-	for tid, tt := range tts {
-		tid, tt := tid, tt
-		var acc []replay.Access
-		var st replay.Stats
-		te := runWithRetry(tid, "reconstruct", retries, func() error {
-			acc, st = engine.ReconstructThread(tt)
-			return nil
-		})
-		if te != nil {
-			terrs = append(terrs, te)
+	for _, r := range recon {
+		agg.Merge(r.st)
+	}
+	return agg
+}
+
+// sortedTIDs lists the threads of tts in ascending order.
+func sortedTIDs(tts map[int32]*synthesis.ThreadTrace) []int32 {
+	tids := make([]int32, 0, len(tts))
+	for tid := range tts {
+		tids = append(tids, tid)
+	}
+	slices.Sort(tids)
+	return tids
+}
+
+// detect runs one sequential (or sharded) detection over a materialised
+// access map.
+func detect(shards int, ropts race.Options, syncRecs []tracefmt.SyncRecord, accesses map[int32][]replay.Access) race.ReportSink {
+	det := newReportSink(shards, ropts)
+	race.Feed(det, syncRecs, accesses)
+	det.Finish()
+	return det
+}
+
+// regenerate is the §5.1 feedback pass: the reconstruction of every thread
+// of tts with the racy addresses invalidated, given first, the pass that
+// found them. It re-runs (with engine, which carries racy as its
+// InvalidAddrs, fanned out over workers) only the threads whose first-pass
+// LoadLog says a racy address was read from emulated memory, plus any
+// thread without a log, such as one that failed in the first pass. Every
+// other thread's first-pass reconstruction is exactly what a re-run would
+// produce (see replay.LoadLog), so it is reused with only its InvalidHits
+// filled in. changed reports whether a re-run thread's accesses differ
+// from the first pass — if not, the detector input is unchanged too.
+func regenerate(engine *replay.Engine, racy map[uint64]bool, tts map[int32]*synthesis.ThreadTrace, first map[int32]threadRecon, workers, retries int, tel *telemetry.Registry) (recon map[int32]threadRecon, changed bool, terrs []*ThreadError) {
+	recon = make(map[int32]threadRecon, len(tts))
+	var rerun []int32
+	for _, tid := range sortedTIDs(tts) {
+		r := first[tid]
+		if hits, reuse := r.log.Reuse(racy); reuse {
+			r.st.InvalidHits = hits
+			recon[tid] = r
 			continue
 		}
-		out[tid] = acc
-		agg.Merge(st)
+		rerun = append(rerun, tid)
 	}
-	return out, agg, terrs
+	redone, terrs := reconstructThreads(engine, tts, rerun, workers, retries, tel, nil)
+	for _, tid := range rerun {
+		r, ok := redone[tid]
+		if ok {
+			recon[tid] = r
+		}
+		if f, had := first[tid]; ok != had || !slices.Equal(f.acc, r.acc) {
+			changed = true
+		}
+	}
+	return recon, changed, terrs
 }
 
 // absorbThreadErrors applies the strictness policy to a batch of isolated

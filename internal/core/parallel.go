@@ -64,7 +64,7 @@ func synthesizeParallel(p *prog.Program, tr *tracefmt.Trace, workers int, sopts 
 	return out, nil
 }
 
-// streamPass runs one reconstruct-and-detect pass with the replay work
+// streamPass runs pass 1 of reconstruct-and-detect with the replay work
 // fanned out across a worker pool and each thread's events streamed into
 // the detector as the thread completes, instead of materialising the full
 // access map before detection starts. Events travel in fixed-size pooled
@@ -76,7 +76,7 @@ func synthesizeParallel(p *prog.Program, tr *tracefmt.Trace, workers int, sopts 
 // Returned timings: the reconstruction stage's wall clock, and the
 // detection tail that ran on after the last thread was reconstructed (the
 // two stages overlap; their sum is the pass's elapsed time).
-func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syncRecs []tracefmt.SyncRecord, workers, shards int, ropts race.Options, retries int) (map[int32][]replay.Access, replay.Stats, race.ReportSink, time.Duration, time.Duration, []*ThreadError) {
+func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syncRecs []tracefmt.SyncRecord, workers, shards int, ropts race.Options, retries int) (map[int32]threadRecon, race.ReportSink, time.Duration, time.Duration, []*ThreadError) {
 	start := time.Now()
 	syncByTID := race.SyncByTID(syncRecs)
 
@@ -103,7 +103,7 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 	// channel never stalls a reconstruction worker (the merger consumes
 	// nothing until every live stream has produced its head).
 	emit := func(tid int32, accs []replay.Access) {
-		race.StreamThread(send[tid], syncByTID[tid], accs)
+		go race.StreamThread(send[tid], syncByTID[tid], accs)
 	}
 
 	// Detection: the merger pulls the k-way-merged event order from the
@@ -120,69 +120,77 @@ func streamPass(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, syn
 	// Sync-only threads stream straight away.
 	for tid := range tidSet {
 		if _, ok := tts[tid]; !ok {
-			go emit(tid, nil)
+			emit(tid, nil)
 		}
 	}
 
-	// Reconstruction worker pool. Each thread's reconstruction runs
-	// guarded: a panic or transient failure becomes a ThreadError, and the
-	// thread's stream is still emitted (sync-only) so the k-way merger
-	// never blocks on a channel a dead worker would have closed.
-	work := make(chan int32, len(tts))
+	recon, terrs := reconstructThreads(engine, tts, sortedTIDs(tts), workers, retries, ropts.Telemetry, emit)
+	reconTime := time.Since(start)
+	<-detDone
+	detectTail := time.Since(start) - reconTime
+	return recon, sink, reconTime, detectTail, terrs
+}
+
+// reconstructThreads reconstructs the listed threads of tts on up to
+// workers goroutines (inline at 1), each guarded: a panic or transient
+// failure becomes a ThreadError, returned for the caller to absorb or abort
+// on, instead of failing the pass. emit, when non-nil, is called as each
+// thread finishes — with nil accesses for a failed thread, whose sync
+// records still carry happens-before edges — and must not block.
+func reconstructThreads(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, tids []int32, workers, retries int, tel *telemetry.Registry, emit func(tid int32, acc []replay.Access)) (map[int32]threadRecon, []*ThreadError) {
 	var (
 		mu    sync.Mutex
-		out   = map[int32][]replay.Access{}
-		agg   replay.Stats
+		out   = make(map[int32]threadRecon, len(tids))
 		terrs []*ThreadError
 	)
-	// Per-thread reconstruction lanes in the timeline (track 1+tid so
-	// thread lanes never collide with the top-level stage track 0). The
-	// guard keeps the hot loop allocation-free when telemetry is off: no
-	// name string is built for a nil registry.
-	tel := ropts.Telemetry
+	one := func(tid int32) {
+		// Per-thread reconstruction lanes in the timeline (track 1+tid so
+		// thread lanes never collide with the top-level stage track 0),
+		// drawn only when threads run concurrently. The guard keeps the hot
+		// loop allocation-free when telemetry is off: no name string is
+		// built for a nil registry.
+		var sp *telemetry.Span
+		if tel != nil && workers > 1 {
+			sp = tel.StartSpanTrack("reconstruct t"+strconv.Itoa(int(tid)), 1+int(tid))
+		}
+		var r threadRecon
+		te := runWithRetry(tid, "reconstruct", retries, func() error {
+			r.acc, r.st, r.log = engine.ReconstructThreadLogged(tts[tid])
+			return nil
+		})
+		sp.End()
+		mu.Lock()
+		if te != nil {
+			terrs = append(terrs, te)
+		} else {
+			out[tid] = r
+		}
+		mu.Unlock()
+		if emit != nil {
+			emit(tid, r.acc) // nil when the thread failed
+		}
+	}
+	if workers <= 1 || len(tids) <= 1 {
+		for _, tid := range tids {
+			one(tid)
+		}
+		return out, terrs
+	}
+	work := make(chan int32, len(tids))
+	for _, tid := range tids {
+		work <- tid
+	}
+	close(work)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for tid := range work {
-				tid := tid
-				var sp *telemetry.Span
-				if tel != nil {
-					sp = tel.StartSpanTrack("reconstruct t"+strconv.Itoa(int(tid)), 1+int(tid))
-				}
-				var acc []replay.Access
-				var st replay.Stats
-				te := runWithRetry(tid, "reconstruct", retries, func() error {
-					acc, st = engine.ReconstructThread(tts[tid])
-					return nil
-				})
-				sp.End()
-				if te != nil {
-					mu.Lock()
-					terrs = append(terrs, te)
-					mu.Unlock()
-					// The thread's reconstructed accesses are lost, but its
-					// sync records still carry happens-before edges.
-					go emit(tid, nil)
-					continue
-				}
-				mu.Lock()
-				out[tid] = acc
-				agg.Merge(st)
-				mu.Unlock()
-				go emit(tid, acc)
+				one(tid)
 			}
 		}()
 	}
-	for tid := range tts {
-		work <- tid
-	}
-	close(work)
-
 	wg.Wait()
-	reconTime := time.Since(start)
-	<-detDone
-	detectTail := time.Since(start) - reconTime
-	return out, agg, sink, reconTime, detectTail, terrs
+	return out, terrs
 }

@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"cmp"
+	"slices"
+
 	"prorace/internal/isa"
 	"prorace/internal/synthesis"
 	"prorace/internal/tracefmt"
@@ -47,6 +50,10 @@ type pathState struct {
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
+	// loads tallies address-known loads per address for the thread's
+	// LoadLog when logLoads is set. Reused like mem.
+	loads    map[uint64]loadEntry
+	logLoads bool
 	// recovered counts steps with known[i] set — the exact capacity the
 	// access list needs (upper-bounded by Stats.MemSteps).
 	recovered int
@@ -62,8 +69,9 @@ func resetSlice[T any](s []T, n int) []T {
 	return s
 }
 
-// reset prepares a (possibly pooled) state for one thread.
-func (ps *pathState) reset(tt *synthesis.ThreadTrace) {
+// reset prepares a (possibly pooled) state for one thread, tallying its
+// loads when logLoads is set.
+func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	n := tt.Path.Len()
 	ps.tt = tt
 	ps.origin = resetSlice(ps.origin, n)
@@ -77,6 +85,10 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace) {
 	if ps.mem == nil {
 		ps.mem = map[uint64]uint64{}
 	}
+	if logLoads && ps.loads == nil {
+		ps.loads = map[uint64]loadEntry{}
+	}
+	ps.logLoads = logLoads
 	ps.recovered = 0
 	for i := range tt.Samples {
 		s := &tt.Samples[i]
@@ -119,10 +131,23 @@ func (ps *pathState) release() {
 	clear(ps.sampleAt)
 	clear(ps.syncAt)
 	clear(ps.mem)
+	clear(ps.loads)
 }
 
-// reconstructPath runs the path-guided modes (Forward, ForwardBackward).
-func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
+// loadLog freezes the tallied loads into the thread's LoadLog.
+func (ps *pathState) loadLog() *LoadLog {
+	log := &LoadLog{entries: make([]loadEntry, 0, len(ps.loads))}
+	for addr, en := range ps.loads {
+		en.addr = addr
+		log.entries = append(log.entries, en)
+	}
+	slices.SortFunc(log.entries, func(a, b loadEntry) int { return cmp.Compare(a.addr, b.addr) })
+	return log
+}
+
+// reconstructPath runs the path-guided modes (Forward, ForwardBackward),
+// returning the thread's LoadLog when logLoads is set.
+func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool) ([]Access, Stats, *LoadLog) {
 	ps := e.states.Get().(*pathState)
 	if ps.origin != nil {
 		e.met.recycles.Inc() // warm state: prior capacity is being reused
@@ -131,7 +156,7 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
 		ps.release()
 		e.states.Put(ps)
 	}()
-	ps.reset(tt)
+	ps.reset(tt, logLoads)
 	var st Stats
 	st.PathSteps = tt.Path.Len()
 	for _, pc := range tt.Path.PCs {
@@ -173,7 +198,11 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace) ([]Access, Stats) {
 		}
 		accesses = append(accesses, e.bbForRecord(rec, &st)...)
 	}
-	return accesses, st
+	var log *LoadLog
+	if logLoads {
+		log = ps.loadLog()
+	}
+	return accesses, st, log
 }
 
 // sampleAccess converts one PEBS record into the access it directly
@@ -264,7 +293,14 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 			}
 			switch in.Op {
 			case isa.LOAD:
-				if v, hit := mem[addr]; okAddr && hit && e.cfg.EmulateMemory && !invalidAddr(addr) {
+				v, hit := mem[addr]
+				if okAddr && ps.logLoads {
+					en := ps.loads[addr]
+					en.loads++
+					en.memHit = en.memHit || hit
+					ps.loads[addr] = en
+				}
+				if okAddr && hit && e.cfg.EmulateMemory && !invalidAddr(addr) {
 					rf.set(in.Rd, v)
 				} else {
 					if okAddr && invalidAddr(addr) {

@@ -109,14 +109,17 @@ type Access struct {
 
 // Stats summarises one thread's reconstruction.
 type Stats struct {
-	Sampled     int
-	Forward     int
-	Backward    int
-	BasicBlock  int
-	PathSteps   int
-	MemSteps    int // memory-access instructions on the path
-	Iterations  int
-	InvalidHits int // accesses suppressed by InvalidAddrs feedback
+	Sampled    int
+	Forward    int
+	Backward   int
+	BasicBlock int
+	PathSteps  int
+	MemSteps   int // memory-access instructions on the path
+	Iterations int
+	// InvalidHits counts address-known loads of an InvalidAddrs address,
+	// over every forward iteration, whether or not emulated memory held
+	// the address at the load.
+	InvalidHits int
 }
 
 // Merge folds another thread's stats into s: counters add, Iterations
@@ -186,7 +189,7 @@ func newEngineMetrics(tel *telemetry.Registry) engineMetrics {
 		bb:          tel.Counter("prorace_replay_accesses_bb_total", "Accesses recovered by static basic-block reconstruction (replay.Stats.BasicBlock)."),
 		pathSteps:   tel.Counter("prorace_replay_path_steps_total", "Decoded path steps walked (replay.Stats.PathSteps)."),
 		memSteps:    tel.Counter("prorace_replay_mem_steps_total", "Memory-access instructions on walked paths (replay.Stats.MemSteps)."),
-		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Accesses suppressed by §5.1 racy-address feedback (replay.Stats.InvalidHits)."),
+		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Address-known loads of a §5.1 invalidated racy address, over every forward iteration (replay.Stats.InvalidHits)."),
 		recycles:    tel.Counter("prorace_replay_pool_recycles_total", "Reconstructions served by a warm pooled pathState."),
 		iterations:  tel.Histogram("prorace_replay_iterations", "Forward/backward fixed-point rounds per thread (replay.Stats.Iterations).", telemetry.DepthBuckets),
 	}
@@ -242,18 +245,73 @@ func (e *Engine) DisableMemoryEmulation() *Engine {
 
 // ReconstructThread produces the extended memory trace of one thread.
 func (e *Engine) ReconstructThread(tt *synthesis.ThreadTrace) ([]Access, Stats) {
+	acc, st, _ := e.reconstruct(tt, false)
+	return acc, st
+}
+
+// ReconstructThreadLogged is ReconstructThread that also returns the
+// thread's LoadLog, from which the §5.1 feedback decides whether the thread
+// must be reconstructed again once the racy addresses are known. The log is
+// nil unless the engine replays paths with memory emulation and no
+// InvalidAddrs — the only reconstruction a later invalidation can change.
+func (e *Engine) ReconstructThreadLogged(tt *synthesis.ThreadTrace) ([]Access, Stats, *LoadLog) {
+	return e.reconstruct(tt, e.cfg.Mode != ModeBasicBlock && e.cfg.EmulateMemory && len(e.cfg.InvalidAddrs) == 0)
+}
+
+func (e *Engine) reconstruct(tt *synthesis.ThreadTrace, logLoads bool) ([]Access, Stats, *LoadLog) {
 	var (
 		acc []Access
 		st  Stats
+		log *LoadLog
 	)
 	switch e.cfg.Mode {
 	case ModeBasicBlock:
 		acc, st = e.reconstructBB(tt)
 	default:
-		acc, st = e.reconstructPath(tt)
+		acc, st, log = e.reconstructPath(tt, logLoads)
 	}
 	e.met.publish(&st)
-	return acc, st
+	return acc, st, log
+}
+
+// LoadLog is what one thread's reconstruction recorded about its
+// address-known loads: per load address, how many such loads the forward
+// passes made and whether emulated memory held the address at one of them.
+//
+// That is enough to replay the effect of invalidating a set of addresses R
+// without replaying the thread. Invalidation changes emulated memory only
+// at keys in R, and only a load of such a key can observe the change — and
+// only if the key was present, since an absent key already left the loaded
+// register unknown. Without such a load every forward iteration, and so
+// every backward one, runs as before; the only difference is that each
+// address-known load of a key in R now counts as an InvalidHit.
+type LoadLog struct {
+	entries []loadEntry // ascending by addr
+}
+
+type loadEntry struct {
+	addr   uint64
+	loads  int  // address-known loads over all forward iterations
+	memHit bool // emulated memory held addr at one of them
+}
+
+// Reuse reports whether a reconstruction with InvalidAddrs = invalid would
+// produce exactly this reconstruction's accesses and stats, and if so the
+// InvalidHits it would count. A nil log never allows reuse.
+func (l *LoadLog) Reuse(invalid map[uint64]bool) (invalidHits int, ok bool) {
+	if l == nil {
+		return 0, false
+	}
+	for _, en := range l.entries {
+		if !invalid[en.addr] {
+			continue
+		}
+		if en.memHit {
+			return 0, false
+		}
+		invalidHits += en.loads
+	}
+	return invalidHits, true
 }
 
 // ReconstructAll runs reconstruction over every thread, returning accesses
