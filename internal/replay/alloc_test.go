@@ -56,16 +56,16 @@ func TestReconstructAllSteadyStateAllocs(t *testing.T) {
 // TestTelemetryOffAddsNoAllocs pins the disabled-telemetry contract on the
 // replay hot path: an engine built without a registry holds nil metric
 // handles, and every instrumentation call through them — the per-thread
-// publish batch and the per-reconstruction recycle/iteration calls — is
-// exactly zero allocations.
+// publish batch and the per-reconstruction recycle call — is exactly zero
+// allocations.
 func TestTelemetryOffAddsNoAllocs(t *testing.T) {
 	w, _ := allocWorkload(t)
 	engine := NewEngine(w.Program, Config{Mode: ModeForwardBackward})
 	m := engine.met
-	if m.threads != nil || m.sampled != nil || m.iterations != nil || m.recycles != nil {
+	if m.threads != nil || m.sampled != nil || m.recycles != nil {
 		t.Fatal("engine without telemetry must hold nil metric handles")
 	}
-	st := Stats{Sampled: 10, Forward: 20, Backward: 5, PathSteps: 100, MemSteps: 40, Iterations: 2}
+	st := Stats{Sampled: 10, Forward: 20, Backward: 5, PathSteps: 100, MemSteps: 40}
 	if avg := testing.AllocsPerRun(100, func() {
 		m.recycles.Inc()
 		m.publish(&st)
@@ -100,8 +100,5 @@ func TestReconstructTelemetryMatchesStats(t *testing.T) {
 		if got := s.Counter(c.name); got != uint64(c.want) {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
-	}
-	if got := s.Histograms["prorace_replay_iterations"].Count; got != uint64(len(tts)) {
-		t.Errorf("iterations histogram count = %d, want one observation per thread (%d)", got, len(tts))
 	}
 }

@@ -4,18 +4,18 @@ import (
 	"prorace/internal/isa"
 )
 
+// maxBackwardSteps bounds one backward walk.
+const maxBackwardSteps = 200_000
+
 // backwardPass implements §5.2: for each segment ending at a PEBS sample,
 // walk the path backwards from the sample, propagating the sample's
 // register file towards each register's last definition (backward
 // propagation) and un-executing invertible instructions (reverse
 // execution). Memory operands whose address registers become known are
 // recovered; register facts that the forward pass lacked are recorded as
-// learned facts for the next forward iteration (the paper's "yet another
+// learned facts for the second forward pass (the paper's "yet another
 // forward replay starting from the youngest instruction").
-//
-// It returns the number of newly recovered accesses.
-func (e *Engine) backwardPass(ps *pathState) int {
-	newly := 0
+func (e *Engine) backwardPass(ps *pathState) {
 	samples := ps.tt.Samples
 	for k := range samples {
 		hi := samples[k].StepIndex
@@ -23,19 +23,17 @@ func (e *Engine) backwardPass(ps *pathState) int {
 		if k > 0 {
 			lo = samples[k-1].StepIndex + 1
 		}
-		if hi-lo > e.cfg.MaxBackwardSteps {
-			lo = hi - e.cfg.MaxBackwardSteps
+		if hi-lo > maxBackwardSteps {
+			lo = hi - maxBackwardSteps
 		}
-		newly += e.backwardSegment(ps, lo, hi, regFileFromSample(&samples[k].Rec))
+		e.backwardSegment(ps, lo, hi, regFileFromSample(&samples[k].Rec))
 	}
-	return newly
 }
 
 // backwardSegment walks [lo, hi] in reverse. cur enters as the post-state
 // of step hi (the sample's register file) and is transformed into earlier
 // pre-states step by step.
-func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
-	newly := 0
+func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) {
 	pcs := ps.tt.Path.PCs
 	var regBuf [2]isa.Reg // stack scratch for AppendDefs/AppendAddrRegs
 	for i := hi; i >= lo; i-- {
@@ -47,10 +45,10 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 		// Derive the pre-state of step i from its post-state in cur —
 		// but first record, for each register this step defines and whose
 		// post-value we know, a learned fact at step i+1 (the pre-state of
-		// the following step). The next forward pass restores the value
+		// the following step). The second forward pass restores the value
 		// right where backward propagation reached its definition — the
 		// paper's "yet another forward replay starting from the youngest
-		// instruction", iterated to a fixed point.
+		// instruction".
 		post := cur
 		e.unexecute(in, &cur)
 		for _, d := range in.AppendDefs(regBuf[:0]) {
@@ -67,7 +65,6 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 				ps.origin[i] = OriginBackward
 				ps.addrs[i] = addr
 				ps.recovered++
-				newly++
 			}
 		}
 
@@ -81,10 +78,9 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 			}
 		}
 	}
-	return newly
 }
 
-// learnFact records a learned fact at step for the next forward pass,
+// learnFact records a learned fact at step for the second forward pass,
 // unless the forward pass already had the register there.
 func (ps *pathState) learnFact(hi, step int, r isa.Reg, v uint64) {
 	if step > hi || ps.fwdAvail[step]&(1<<r) != 0 {

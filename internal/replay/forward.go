@@ -23,7 +23,7 @@ func (f *regFacts) set(r isa.Reg, v uint64) {
 }
 
 // pathState carries the per-path working arrays shared by the forward and
-// backward passes across fixed-point iterations. States are pooled by the
+// backward passes of one reconstruction. States are pooled by the
 // engine and reset per thread, so steady-state reconstruction reuses the
 // slices and map buckets of earlier threads instead of reallocating them.
 type pathState struct {
@@ -36,7 +36,7 @@ type pathState struct {
 	// facts are new.
 	fwdAvail []uint16
 	// learnedIdx/learnedFacts hold backward-derived pre-state register
-	// values, applied at the given step by the next forward pass. The
+	// values, applied at the given step by the second forward pass. The
 	// per-step table stores 1-based indices into an arena slice (0 = no
 	// facts): regFacts is larger than the runtime's 128-byte inline-map-
 	// value limit, so a map[int]regFacts would heap-box every insert, and
@@ -145,9 +145,10 @@ func (ps *pathState) loadLog() *LoadLog {
 	return log
 }
 
-// reconstructPath runs the path-guided modes (Forward, ForwardBackward),
-// returning the thread's LoadLog when logLoads is set.
-func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool) ([]Access, Stats, *LoadLog) {
+// reconstructPath runs the path-guided modes (Forward, ForwardBackward)
+// with the given pass schedule, returning the thread's LoadLog when
+// logLoads is set.
+func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passes func(*Engine, *pathState, *Stats)) ([]Access, Stats, *LoadLog) {
 	ps := e.states.Get().(*pathState)
 	if ps.origin != nil {
 		e.met.recycles.Inc() // warm state: prior capacity is being reused
@@ -165,18 +166,7 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool) ([]Ac
 		}
 	}
 
-	for iter := 0; iter < e.cfg.MaxIterations; iter++ {
-		st.Iterations = iter + 1
-		newly := e.forwardPass(ps, &st)
-		if e.cfg.Mode == ModeForward {
-			break
-		}
-		newly += e.backwardPass(ps)
-		if newly == 0 && iter > 0 {
-			break
-		}
-	}
-
+	passes(e, ps, &st)
 	accesses := e.collect(ps, &st)
 
 	// Samples that could not be pinned to the path still contribute. On a
@@ -205,6 +195,21 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool) ([]Ac
 	return accesses, st, log
 }
 
+// replayPasses is the pass schedule of the path-guided modes. ModeForward
+// runs one forward pass (F1). ModeForwardBackward runs F1, one backward
+// pass (B1) that learns register facts F1 lacked, and a second forward
+// pass (F2) that applies them. That is the fixed point: F2's state
+// contains F1's at every step, so a further backward pass would learn no
+// new fact and recover no new access, and a third forward pass would
+// repeat F2 (DESIGN.md §10).
+func (e *Engine) replayPasses(ps *pathState, st *Stats) {
+	e.forwardPass(ps, st)
+	if e.cfg.Mode == ModeForwardBackward {
+		e.backwardPass(ps)
+		e.forwardPass(ps, st)
+	}
+}
+
 // sampleAccess converts one PEBS record into the access it directly
 // witnessed, with no reconstruction around it.
 func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
@@ -227,8 +232,7 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // forwardPass is the §5.1 forward replay over the whole path: registers are
 // restored at every sample, availability is tracked in the program map, and
 // every memory operand whose address becomes computable is recovered.
-// It returns the number of newly recovered accesses.
-func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
+func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
@@ -242,7 +246,6 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 	invalid := e.cfg.InvalidAddrs
 	hasInvalid := len(invalid) > 0
 	invalidAddr := func(addr uint64) bool { return hasInvalid && invalid[addr] }
-	newly := 0
 
 	for i, pc := range ps.tt.Path.PCs {
 		// Apply backward-derived facts for this step's pre-state.
@@ -289,7 +292,6 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 				ps.origin[i] = OriginForward
 				ps.addrs[i] = addr
 				ps.recovered++
-				newly++
 			}
 			switch in.Op {
 			case isa.LOAD:
@@ -370,7 +372,6 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) int {
 			// CMP/CMPI set flags only; branches are path-driven.
 		}
 	}
-	return newly
 }
 
 // collect turns the per-step recovery state into the access list. The

@@ -16,7 +16,10 @@
 //   - ModeForwardBackward — full ProRace (§5.2): forward replay plus
 //     backward replay (backward propagation of the next sample's register
 //     file to each register's last definition, and reverse execution of
-//     invertible instructions), iterated to a fixed point.
+//     invertible instructions): a forward pass, a backward pass, and a
+//     second forward pass that applies the register facts the backward
+//     pass learned — a schedule that reaches the fixed point (DESIGN.md
+//     §10).
 //
 // PC-relative and absolute addresses are recoverable wherever the path is
 // known, even with no live register — the reason the paper's Table 2 shows
@@ -42,8 +45,8 @@ const (
 	ModeBasicBlock Mode = iota
 	// ModeForward runs path-guided forward replay only.
 	ModeForward
-	// ModeForwardBackward runs forward and backward replay to a fixed
-	// point (full ProRace).
+	// ModeForwardBackward runs forward, backward, then forward replay
+	// again, which reaches the fixed point (full ProRace).
 	ModeForwardBackward
 )
 
@@ -66,10 +69,6 @@ type Config struct {
 	// EmulateMemory enables the program-map memory emulation of §5.1
 	// (on by default in NewEngine; disable for the ablation).
 	EmulateMemory bool
-	// MaxBackwardSteps bounds one backward walk (default 200k).
-	MaxBackwardSteps int
-	// MaxIterations bounds forward/backward fixed-point rounds (default 3).
-	MaxIterations int
 	// InvalidAddrs are addresses whose emulated-memory contents must not
 	// be trusted — the detector feeds back racy locations here and
 	// reconstruction is re-run, implementing §5.1's trace regeneration.
@@ -115,17 +114,15 @@ type Stats struct {
 	BasicBlock int
 	PathSteps  int
 	MemSteps   int // memory-access instructions on the path
-	Iterations int
 	// InvalidHits counts address-known loads of an InvalidAddrs address,
-	// over every forward iteration, whether or not emulated memory held
-	// the address at the load.
+	// over both forward passes, whether or not emulated memory held the
+	// address at the load.
 	InvalidHits int
 }
 
-// Merge folds another thread's stats into s: counters add, Iterations
-// keeps the maximum (the fixed-point depth of the slowest thread). Every
-// aggregation path must go through here so newly added fields are never
-// silently dropped by a hand-rolled merge.
+// Merge folds another thread's stats into s; every field is a counter and
+// adds. Every aggregation path must go through here so newly added fields
+// are never silently dropped by a hand-rolled merge.
 func (s *Stats) Merge(o Stats) {
 	s.Sampled += o.Sampled
 	s.Forward += o.Forward
@@ -134,9 +131,6 @@ func (s *Stats) Merge(o Stats) {
 	s.PathSteps += o.PathSteps
 	s.MemSteps += o.MemSteps
 	s.InvalidHits += o.InvalidHits
-	if o.Iterations > s.Iterations {
-		s.Iterations = o.Iterations
-	}
 }
 
 // Total returns the number of accesses in the extended trace.
@@ -174,7 +168,6 @@ type engineMetrics struct {
 	memSteps    *telemetry.Counter
 	invalidHits *telemetry.Counter
 	recycles    *telemetry.Counter
-	iterations  *telemetry.Histogram
 }
 
 func newEngineMetrics(tel *telemetry.Registry) engineMetrics {
@@ -189,9 +182,8 @@ func newEngineMetrics(tel *telemetry.Registry) engineMetrics {
 		bb:          tel.Counter("prorace_replay_accesses_bb_total", "Accesses recovered by static basic-block reconstruction (replay.Stats.BasicBlock)."),
 		pathSteps:   tel.Counter("prorace_replay_path_steps_total", "Decoded path steps walked (replay.Stats.PathSteps)."),
 		memSteps:    tel.Counter("prorace_replay_mem_steps_total", "Memory-access instructions on walked paths (replay.Stats.MemSteps)."),
-		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Address-known loads of a §5.1 invalidated racy address, over every forward iteration (replay.Stats.InvalidHits)."),
+		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Address-known loads of a §5.1 invalidated racy address, over both forward passes (replay.Stats.InvalidHits)."),
 		recycles:    tel.Counter("prorace_replay_pool_recycles_total", "Reconstructions served by a warm pooled pathState."),
-		iterations:  tel.Histogram("prorace_replay_iterations", "Forward/backward fixed-point rounds per thread (replay.Stats.Iterations).", telemetry.DepthBuckets),
 	}
 }
 
@@ -206,19 +198,10 @@ func (m *engineMetrics) publish(st *Stats) {
 	m.pathSteps.AddInt(st.PathSteps)
 	m.memSteps.AddInt(st.MemSteps)
 	m.invalidHits.AddInt(st.InvalidHits)
-	if m.iterations != nil {
-		m.iterations.Observe(float64(st.Iterations))
-	}
 }
 
 // NewEngine returns an engine with defaults applied.
 func NewEngine(p *prog.Program, cfg Config) *Engine {
-	if cfg.MaxBackwardSteps == 0 {
-		cfg.MaxBackwardSteps = 200_000
-	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = 3
-	}
 	if cfg.Mode != ModeBasicBlock && !cfg.EmulateMemory {
 		// EmulateMemory defaults to on; Config{} from callers who did not
 		// opt out gets the paper's behaviour. The ablation sets
@@ -268,7 +251,7 @@ func (e *Engine) reconstruct(tt *synthesis.ThreadTrace, logLoads bool) ([]Access
 	case ModeBasicBlock:
 		acc, st = e.reconstructBB(tt)
 	default:
-		acc, st, log = e.reconstructPath(tt, logLoads)
+		acc, st, log = e.reconstructPath(tt, logLoads, (*Engine).replayPasses)
 	}
 	e.met.publish(&st)
 	return acc, st, log
@@ -282,8 +265,8 @@ func (e *Engine) reconstruct(tt *synthesis.ThreadTrace, logLoads bool) ([]Access
 // without replaying the thread. Invalidation changes emulated memory only
 // at keys in R, and only a load of such a key can observe the change — and
 // only if the key was present, since an absent key already left the loaded
-// register unknown. Without such a load every forward iteration, and so
-// every backward one, runs as before; the only difference is that each
+// register unknown. Without such a load both forward passes, and so the
+// backward pass, run as before; the only difference is that each
 // address-known load of a key in R now counts as an InvalidHit.
 type LoadLog struct {
 	entries []loadEntry // ascending by addr
@@ -291,7 +274,7 @@ type LoadLog struct {
 
 type loadEntry struct {
 	addr   uint64
-	loads  int  // address-known loads over all forward iterations
+	loads  int  // address-known loads over both forward passes
 	memHit bool // emulated memory held addr at one of them
 }
 

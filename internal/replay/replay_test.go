@@ -460,18 +460,12 @@ func TestStatsRatio(t *testing.T) {
 }
 
 func TestStatsMergeCoversEveryField(t *testing.T) {
-	a := Stats{Sampled: 1, Forward: 2, Backward: 3, BasicBlock: 4, PathSteps: 5, MemSteps: 6, Iterations: 2, InvalidHits: 7}
-	b := Stats{Sampled: 10, Forward: 20, Backward: 30, BasicBlock: 40, PathSteps: 50, MemSteps: 60, Iterations: 1, InvalidHits: 70}
+	a := Stats{Sampled: 1, Forward: 2, Backward: 3, BasicBlock: 4, PathSteps: 5, MemSteps: 6, InvalidHits: 7}
+	b := Stats{Sampled: 10, Forward: 20, Backward: 30, BasicBlock: 40, PathSteps: 50, MemSteps: 60, InvalidHits: 70}
 	a.Merge(b)
-	want := Stats{Sampled: 11, Forward: 22, Backward: 33, BasicBlock: 44, PathSteps: 55, MemSteps: 66, Iterations: 2, InvalidHits: 77}
+	want := Stats{Sampled: 11, Forward: 22, Backward: 33, BasicBlock: 44, PathSteps: 55, MemSteps: 66, InvalidHits: 77}
 	if a != want {
 		t.Fatalf("merge = %+v, want %+v", a, want)
-	}
-	// Iterations keeps the max, whichever side is larger.
-	c := Stats{Iterations: 1}
-	c.Merge(Stats{Iterations: 3})
-	if c.Iterations != 3 {
-		t.Fatalf("iterations = %d, want 3", c.Iterations)
 	}
 }
 

@@ -32,8 +32,7 @@
 //   - replay.Stats{Sampled, Forward, Backward, BasicBlock, PathSteps,
 //     MemSteps, InvalidHits} → prorace_replay_accesses_sampled_total,
 //     _forward_total, _backward_total, _bb_total, prorace_replay_path_steps_total,
-//     _mem_steps_total, _invalid_hits_total; Stats.Iterations (per-thread
-//     fixed-point rounds) → the prorace_replay_iterations histogram.
+//     _mem_steps_total, _invalid_hits_total.
 //   - core.AnalysisResult.DecodeCacheHit → prorace_synthesis_cache_hits_total /
 //     prorace_synthesis_cache_misses_total (one increment per analysis).
 //   - tracefmt.SalvageInfo{Truncated, TornBytes, DroppedPEBS, DroppedSync,
@@ -223,7 +222,7 @@ var (
 	DurationBuckets = []float64{1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 10, 30, 100}
 	// SizeBuckets covers byte sizes from 1KiB to 1GiB, ×8 per step.
 	SizeBuckets = []float64{1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 22, 1 << 25, 1 << 28, 1 << 30}
-	// DepthBuckets covers small queue depths and iteration counts.
+	// DepthBuckets covers small queue depths.
 	DepthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}
 )
 
