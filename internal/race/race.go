@@ -204,9 +204,12 @@ func (d *Detector) HandleAccess(a *replay.Access) {
 	}
 	// Update read state (FastTrack's adaptive representation).
 	if s.flags&slotShared != 0 {
-		old := s.rvc
-		s.rvc, d.scratch = d.intern.WithSet(old, tid, me.Clock(), d.scratch)
-		d.intern.Release(old)
+		// FastTrack's "read same epoch" case: the vector already holds this
+		// clock, and dedup would hand back old itself, so skip the pool.
+		if old := s.rvc; d.intern.At(old, tid) != me.Clock() {
+			s.rvc, d.scratch = d.intern.WithSet(old, tid, me.Clock(), d.scratch)
+			d.intern.Release(old)
+		}
 		d.prov.set(&s.prov, tid, a.PC, a.TSC)
 		return
 	}
@@ -590,30 +593,78 @@ func (c *streamCursor) head() *Event {
 }
 
 // mergeCursors k-way merges the cursors into the sink: events are emitted
-// in (TSC, mergePriority, thread index) order, so the interleaving is
-// deterministic for a given cursor order.
+// in (TSC, mergePriority, cursor index) order, so the interleaving is
+// deterministic for a given cursor order. Live cursors sit in a binary
+// min-heap keyed by their head events, so an event costs O(log k) in the
+// stream count rather than a scan of every cursor; a cursor leaves the heap
+// when its stream ends. Every heap entry has a buffered head, so only the
+// advanced cursor's head() can block on its channel.
 func mergeCursors(sink EventSink, cursors []*streamCursor) {
-	for {
-		best := -1
-		var bh *Event
-		for i, c := range cursors {
-			h := c.head()
-			if h == nil {
-				continue
-			}
-			if best < 0 || h.TSC < bh.TSC || (h.TSC == bh.TSC && h.mergePriority() < bh.mergePriority()) {
-				best, bh = i, h
-			}
+	h := make([]mergeKey, 0, len(cursors))
+	for i, c := range cursors {
+		if e := c.head(); e != nil {
+			h = append(h, keyOf(e, i))
 		}
-		if best < 0 {
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		i := h[0].cur
+		c := cursors[i]
+		if ev := &c.buf[c.pos]; ev.Sync != nil {
+			sink.HandleSync(ev.Sync)
+		} else {
+			sink.HandleAccess(ev.Acc)
+		}
+		c.pos++
+		if e := c.head(); e != nil {
+			h[0] = keyOf(e, int(i))
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+}
+
+// mergeKey is a live cursor's heap entry: its head event's sort key, with
+// the cursor index as the final tie-break.
+type mergeKey struct {
+	tsc  uint64
+	prio int32
+	cur  int32
+}
+
+func keyOf(e *Event, cur int) mergeKey {
+	return mergeKey{tsc: e.TSC, prio: int32(e.mergePriority()), cur: int32(cur)}
+}
+
+func (a mergeKey) less(b mergeKey) bool {
+	if a.tsc != b.tsc {
+		return a.tsc < b.tsc
+	}
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.cur < b.cur
+}
+
+// siftDown restores the min-heap property below h[i].
+func siftDown(h []mergeKey, i int) {
+	for {
+		m, l := i, 2*i+1
+		if l < len(h) && h[l].less(h[m]) {
+			m = l
+		}
+		if r := l + 1; r < len(h) && h[r].less(h[m]) {
+			m = r
+		}
+		if m == i {
 			return
 		}
-		if bh.Sync != nil {
-			sink.HandleSync(bh.Sync)
-		} else {
-			sink.HandleAccess(bh.Acc)
-		}
-		cursors[best].pos++
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 

@@ -203,6 +203,55 @@ func TestDetectorInternChurnReusesRegions(t *testing.T) {
 	}
 }
 
+func TestSameEpochSharedReadSkipsInterner(t *testing.T) {
+	// FastTrack's "read same epoch" rule on read-shared state: a repeat
+	// read by a thread with no intervening sync stores the clock the vector
+	// already holds, so the pooled vector, its refcount and the interner's
+	// lookup counters must not move. Provenance still records the newest
+	// read, which a later unordered write reports.
+	d := NewDetector(Options{})
+	addr := uint64(0x600000)
+	r1 := acc(1, 0x400100, addr, false, 100)
+	r2 := acc(2, 0x400200, addr, false, 110)
+	d.HandleAccess(&r1)
+	d.HandleAccess(&r2) // inflate
+	s := d.shadow.slot(addr, 0)
+	if s.flags&slotShared == 0 {
+		t.Fatal("second concurrent reader must inflate")
+	}
+	rvc, refs := s.rvc, d.intern.Refs(s.rvc)
+	before := d.ShadowStats()
+
+	r2b := acc(2, 0x400201, addr, false, 120)
+	d.HandleAccess(&r2b)
+	s = d.shadow.slot(addr, 0)
+	if s.rvc != rvc || d.intern.Refs(s.rvc) != refs {
+		t.Errorf("same-epoch read changed the vector: ref %d→%d, refs %d→%d", rvc, s.rvc, refs, d.intern.Refs(s.rvc))
+	}
+	after := d.ShadowStats()
+	if got, want := after.InternHits+after.InternMisses, before.InternHits+before.InternMisses; got != want {
+		t.Errorf("same-epoch read looked up the interner: %d lookups, want %d", got, want)
+	}
+	if pc, tsc := d.prov.get(s.prov, 2); pc != 0x400201 || tsc != 120 {
+		t.Errorf("provenance for T2 = %#x/%d, want the newest read 0x400201/120", pc, tsc)
+	}
+
+	w := acc(3, 0x400300, addr, true, 400)
+	d.HandleAccess(&w)
+	var found bool
+	for _, r := range d.Reports() {
+		if r.First.TID == 2 {
+			found = true
+			if r.First.PC != 0x400201 || r.First.TSC != 120 {
+				t.Errorf("write reports T2's read at %#x/%d, want 0x400201/120", r.First.PC, r.First.TSC)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("unordered write did not report T2's read: %v", d.Reports())
+	}
+}
+
 // TestWarmSharedReadAllocs extends the warm-replay allocation guard to the
 // read-shared path: once a variable's read state is an interned vector and
 // both states of the two-reader alternation exist in the pool, further
@@ -229,6 +278,7 @@ func TestWarmSharedReadAllocs(t *testing.T) {
 // the flat-table detector and the frozen map-based reference must produce
 // identical ordered report lists and racy-address sets.
 func TestFlatMatchesReferenceRandomized(t *testing.T) {
+	sameEpoch := 0 // re-reads that take the same-epoch shared-read branch
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		opts := Options{TrackAllocations: true}
@@ -241,27 +291,46 @@ func TestFlatMatchesReferenceRandomized(t *testing.T) {
 			addrs[i] = 0x600000 + uint64(rng.Intn(64))*8
 		}
 		tsc := uint64(1)
+		var prev *replay.Access // the previous event, when it was an access
 		for step := 0; step < 2000; step++ {
 			tid := int32(1 + rng.Intn(nThreads))
 			tsc += uint64(1 + rng.Intn(3))
-			switch rng.Intn(10) {
+			op := rng.Intn(10)
+			if op == 3 && prev == nil {
+				op = 9
+			}
+			switch op {
 			case 0: // lock
 				rec := syncRec(tid, 6, tsc, 0x700000+uint64(rng.Intn(2))*64, 0)
 				flat.HandleSync(&rec)
 				ref.HandleSync(&rec)
+				prev = nil
 			case 1: // unlock
 				rec := syncRec(tid, 7, tsc, 0x700000+uint64(rng.Intn(2))*64, 0)
 				flat.HandleSync(&rec)
 				ref.HandleSync(&rec)
+				prev = nil
 			case 2: // malloc over a known address range (generation churn)
 				rec := syncRec(tid, 1, tsc, addrs[rng.Intn(len(addrs))], 8)
 				flat.HandleSync(&rec)
 				ref.HandleSync(&rec)
+				prev = nil
+			case 3: // same thread re-reads the previous access's address
+				a := acc(prev.TID, 0x400000+uint64(rng.Intn(30))*4, prev.Addr, false, tsc)
+				s := flat.shadow.slot(a.Addr, flat.genOf(a.Addr))
+				if s.flags&slotShared != 0 && flat.intern.At(s.rvc, a.TID) == flat.clock(a.TID).EpochOf(a.TID).Clock() {
+					sameEpoch++
+				}
+				b := a
+				flat.HandleAccess(&a)
+				ref.HandleAccess(&b)
+				prev = &a
 			default:
 				a := acc(tid, 0x400000+uint64(rng.Intn(30))*4, addrs[rng.Intn(len(addrs))], rng.Intn(3) == 0, tsc)
 				b := a
 				flat.HandleAccess(&a)
 				ref.HandleAccess(&b)
+				prev = &a
 			}
 		}
 		if len(flat.Reports()) != len(ref.Reports()) {
@@ -280,6 +349,9 @@ func TestFlatMatchesReferenceRandomized(t *testing.T) {
 				t.Fatalf("seed %d: flat missing racy addr %#x", seed, a)
 			}
 		}
+	}
+	if sameEpoch == 0 {
+		t.Error("no re-read took the same-epoch shared-read branch")
 	}
 }
 
