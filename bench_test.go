@@ -549,8 +549,6 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 	}
 	b.Run("sequential", run(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
 	b.Run("workers", run(core.AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: -1}))
-	b.Run("workers+shards", run(core.AnalysisOptions{
-		Mode: replay.ModeForwardBackward, Workers: -1, DetectShards: -1}))
 }
 
 // benchAnalyzeTelemetry is the shared body of the telemetry cost pair:
@@ -589,12 +587,9 @@ func BenchmarkAnalyzeTelemetryOn(b *testing.B) {
 		Mode: replay.ModeForwardBackward, Telemetry: telemetry.New()})
 }
 
-// BenchmarkShardedDetection measures address-sharded parallel FastTrack
-// against the sequential detector over the same prepared extended trace.
-// The reported race list is identical at every shard count (the
-// equivalence suite enforces it), so the series isolates the detect
-// phase's scaling.
-func BenchmarkShardedDetection(b *testing.B) {
+// BenchmarkDetection measures the detect phase alone: sequential FastTrack
+// over a prepared extended trace.
+func BenchmarkDetection(b *testing.B) {
 	w := workload.MySQL(1)
 	res, err := core.TraceProgram(w.Program, core.TraceOptions{
 		Kind: driver.ProRace, Period: 500, Seed: 3, EnablePT: true, Machine: w.Machine})
@@ -611,21 +606,10 @@ func BenchmarkShardedDetection(b *testing.B) {
 	for _, a := range accesses {
 		n += len(a)
 	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			race.Detect(res.Trace.Sync, accesses, race.Options{TrackAllocations: true})
-		}
-		b.ReportMetric(float64(n), "accesses/op")
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				race.DetectSharded(res.Trace.Sync, accesses, shards, race.Options{TrackAllocations: true})
-			}
-			b.ReportMetric(float64(n), "accesses/op")
-		})
+	for i := 0; i < b.N; i++ {
+		race.Detect(res.Trace.Sync, accesses, race.Options{TrackAllocations: true})
 	}
+	b.ReportMetric(float64(n), "accesses/op")
 }
 
 // BenchmarkDetectorFastTrackVsDjit compares FastTrack's adaptive-epoch

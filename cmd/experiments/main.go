@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated: table1,fig6,fig7,fig8,fig9,fig10,table2,fig11,fig12,related,scaling,faults,oracle,perf,memscale,all")
+	expFlag := flag.String("exp", "all", "comma-separated: table1,fig6,fig7,fig8,fig9,fig10,table2,fig11,fig12,related,faults,oracle,perf,memscale,all")
 	full := flag.Bool("full", false, "paper-scale configuration (slow)")
 	scale := flag.Int("scale", 0, "override workload scale")
 	trials := flag.Int("trials", 0, "override Table 2 traces per cell")
@@ -185,13 +185,6 @@ func main() {
 	})
 	run("related", func() (string, error) {
 		f, err := h.RelatedWork()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	})
-	run("scaling", func() (string, error) {
-		f, err := h.DetectScaling()
 		if err != nil {
 			return "", err
 		}

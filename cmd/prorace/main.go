@@ -3,11 +3,11 @@
 //	prorace list                           # workloads and bugs
 //	prorace run -workload mysql -period 1000
 //	prorace run -bug apache-21287 -period 100 -trials 20
-//	prorace run -workload mysql -workers -1 -detect-shards 8
+//	prorace run -workload mysql -workers -1
 //	prorace run -bug apache-25520 -witness-dir witnesses/
 //	prorace reproduce witnesses/apache-25520-0.witness
 //	prorace trace -workload apache -period 1000 -o apache.trace
-//	prorace analyze -workload apache -in apache.trace -detect-shards 4
+//	prorace analyze -workload apache -in apache.trace -workers -1
 //	prorace disasm -workload pfscan | head
 package main
 
@@ -106,7 +106,6 @@ type commonFlags struct {
 	driverName   string
 	modeName     string
 	workers      int
-	detectShards int
 	lenient      bool
 	faultSpec    string
 	metricsAddr  string
@@ -126,7 +125,6 @@ func addCommon(fs *flag.FlagSet) *commonFlags {
 	fs.StringVar(&c.driverName, "driver", "prorace", "driver model: prorace or vanilla")
 	fs.StringVar(&c.modeName, "mode", "fb", "reconstruction: bb, fwd or fb")
 	fs.IntVar(&c.workers, "workers", 0, "offline analysis workers (0 sequential, -1 GOMAXPROCS)")
-	fs.IntVar(&c.detectShards, "detect-shards", 0, "detection shards (0/1 sequential, -1 GOMAXPROCS)")
 	fs.BoolVar(&c.lenient, "lenient", false, "salvage corrupt or truncated traces instead of failing (reports degradation)")
 	fs.StringVar(&c.faultSpec, "fault-spec", "", "inject trace faults before analysis, e.g. ptflip=0.01,syncgap=0.1:seed=7")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live telemetry on this address (/metrics, /debug/vars, /timeline, /debug/pprof)")
@@ -212,7 +210,6 @@ func (c *commonFlags) options(w workload.Workload) ([]prorace.Option, error) {
 		prorace.WithPeriod(c.period),
 		prorace.WithSeed(c.seed),
 		prorace.WithWorkers(c.workers),
-		prorace.WithDetectShards(c.detectShards),
 	}
 	switch c.driverName {
 	case "prorace":
@@ -311,10 +308,10 @@ func cmdRun(args []string) error {
 		fmt.Printf("trial %d (seed %d): %.3f ms execution, overhead %.2f%%, %d samples (%d dropped), trace %d bytes\n",
 			trial+1, seed, tr.TracedStats.Seconds()*1e3, tr.Overhead*100,
 			tr.Trace.SampleCount(), tr.Dropped, tr.Trace.TotalBytes())
-		fmt.Printf("  reconstruction: %d sampled + %d forward + %d backward + %d bb (%.1fx); offline %v (%d workers, %d shards)\n",
+		fmt.Printf("  reconstruction: %d sampled + %d forward + %d backward + %d bb (%.1fx); offline %v (%d workers)\n",
 			ar.ReplayStats.Sampled, ar.ReplayStats.Forward, ar.ReplayStats.Backward,
 			ar.ReplayStats.BasicBlock, ar.ReplayStats.RecoveryRatio(), ar.TotalTime().Round(1000),
-			ar.Workers, ar.DetectShards)
+			ar.Workers)
 		if built != nil {
 			if built.Detected(ar.Reports) {
 				detected++
@@ -463,9 +460,9 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("analysis of %s (%d samples): %d accesses (%.1fx recovery) in %v (%d workers, %d shards)\n",
+	fmt.Printf("analysis of %s (%d samples): %d accesses (%.1fx recovery) in %v (%d workers)\n",
 		*in, tr.SampleCount(), ar.ReplayStats.Total(), ar.ReplayStats.RecoveryRatio(),
-		ar.TotalTime().Round(1000), ar.Workers, ar.DetectShards)
+		ar.TotalTime().Round(1000), ar.Workers)
 	if built != nil && built.Detected(ar.Reports) {
 		fmt.Printf("planted bug %s DETECTED\n", built.Bug.ID)
 	}

@@ -97,7 +97,6 @@ func cmdServe(args []string) error {
 	queueDepth := fs.Int("queue-depth", 32, "pending segments per tenant before admission rejection")
 	workers := fs.Int("workers", 2, "analysis worker pool size (0 = analyse inline on ingest)")
 	analysisWorkers := fs.Int("analysis-workers", 0, "replay workers per analysis round (0 sequential, -1 GOMAXPROCS)")
-	detectShards := fs.Int("detect-shards", 0, "detection shards per analysis round (0/1 sequential, -1 GOMAXPROCS)")
 	maxBody := fs.Int64("max-body", 0, "ingest/program HTTP body size cap in bytes (0 = default 256MiB)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before in-flight requests are cut")
 	logFormat := fs.String("log-format", "text", "structured log encoding: json or text")
@@ -130,10 +129,7 @@ func cmdServe(args []string) error {
 		LineageDepth: *lineageDepth,
 		// Strict stays false: a degraded window is a tenant problem, not a
 		// daemon problem.
-		Analysis: core.AnalysisOptions{
-			Workers:      *analysisWorkers,
-			DetectShards: *detectShards,
-		},
+		Analysis:  core.AnalysisOptions{Workers: *analysisWorkers},
 		Telemetry: reg,
 		Alert: monitor.AlertConfig{
 			URL:           *alertURL,

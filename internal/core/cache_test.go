@@ -92,7 +92,7 @@ func TestPathCacheHitMatchesFreshDecode(t *testing.T) {
 
 // TestPathCacheEquivalenceAcrossParallelism re-analyses one racy trace —
 // multi-round: detection feeds racy addresses back into reconstruction —
-// under every {workers, shards} combination, cache on (warm) and off, and
+// at every worker count, cache on (warm) and off, and
 // requires byte-identical reports throughout.
 func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 	if testing.Short() {
@@ -111,30 +111,22 @@ func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 
 	cache := synthesis.NewCache(2)
 	for _, workers := range []int{0, 1, 4, 7} {
-		for _, shards := range []int{0, 1, 4, 7} {
-			opts := AnalysisOptions{
-				Mode:    replay.ModeForwardBackward,
-				Workers: workers, DetectShards: shards,
-				PathCache: cache,
-			}
-			got, err := Analyze(built.Workload.Program, tr.Trace, opts)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-			}
-			label := func(suffix string) string {
-				return "workers=" + itoa(workers) + " shards=" + itoa(shards) + " " + suffix
-			}
-			mustMatch(t, label("cached"), want, got)
-
-			off := opts
-			off.PathCache = nil
-			off.DisablePathCache = true
-			cold, err := Analyze(built.Workload.Program, tr.Trace, off)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d uncached: %v", workers, shards, err)
-			}
-			mustMatch(t, label("uncached"), want, cold)
+		opts := AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers, PathCache: cache}
+		got, err := Analyze(built.Workload.Program, tr.Trace, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		label := "workers=" + itoa(workers)
+		mustMatch(t, label+" cached", want, got)
+
+		off := opts
+		off.PathCache = nil
+		off.DisablePathCache = true
+		cold, err := Analyze(built.Workload.Program, tr.Trace, off)
+		if err != nil {
+			t.Fatalf("workers=%d uncached: %v", workers, err)
+		}
+		mustMatch(t, label+" uncached", want, cold)
 	}
 	if cache.Hits() == 0 {
 		t.Error("the sweep never hit the warm cache")

@@ -146,21 +146,10 @@ type AnalysisOptions struct {
 	// full ProRace).
 	Mode replay.Mode
 	// Workers fans PT decoding/synthesis and replay reconstruction out
-	// across a worker pool, streaming each thread's reconstructed accesses
-	// into detection as the thread completes (§7.6): 0 = fully sequential,
-	// <0 = GOMAXPROCS, n > 0 = n workers. Results are identical to the
-	// sequential analysis.
+	// across a worker pool, one thread at a time (§7.6); detection stays
+	// sequential: 0 = fully sequential, <0 = GOMAXPROCS, n > 0 = n
+	// workers. Results are identical to the sequential analysis.
 	Workers int
-	// DetectShards partitions the detector's per-variable state across
-	// shard workers by address hash, parallelising the detect phase:
-	// 0 or 1 = sequential FastTrack, <0 = GOMAXPROCS, n > 1 = n shards.
-	// The reported race set is identical at any shard count.
-	DetectShards int
-	// DetectWorkers bounds the goroutines multiplexing the detection
-	// shards (shards are CAS-claimed stripes, so N shards can share M <
-	// N workers): 0 = one per shard up to GOMAXPROCS. Ignored without
-	// sharded detection. Results are identical at any worker count.
-	DetectWorkers int
 	// ShadowCapacityHint pre-sizes the detector's shadow table for the
 	// expected number of distinct variables (addresses × allocation
 	// generations), avoiding growth-and-reinsert cycles on large traces.
@@ -214,13 +203,6 @@ type AnalysisOptions struct {
 	// MetricsAddr, when non-empty, guarantees a live telemetry HTTP
 	// listener on that address for the run (see WithMetricsAddr).
 	MetricsAddr string
-	// SegmentSize, when > 0, routes the analysis through an Analyzer
-	// session fed the trace in segments of at most this many serialised
-	// bytes — the exerciser for the segment-resumable path. Results are
-	// byte-identical to SegmentSize == 0 (the session re-concatenates
-	// segments before decode); the knob exists so whole-trace callers and
-	// tests cover the exact code path streaming ingest uses.
-	SegmentSize int
 	// Witnesses, when non-nil, attaches a deterministic reproduction to
 	// every report: a replay-verified witness schedule (seed + forced
 	// scheduler-decision prefix) is generated per race, serialized into
@@ -254,17 +236,16 @@ type AnalysisResult struct {
 	ReplayStats replay.Stats
 	// Accesses is the extended memory trace per thread.
 	Accesses map[int32][]replay.Access
-	// Phase timings for the paper's Figure 12 breakdown. With Workers > 1
-	// reconstruction and detection overlap: ReconstructTime is the
-	// reconstruction stage's wall clock and DetectTime the detection tail
-	// beyond it, so the sum still tracks elapsed analysis time.
+	// Phase timings for the paper's Figure 12 breakdown. The stages run
+	// one after another at every Workers count, so Decode + Reconstruct +
+	// Detect is the elapsed analysis (the §5.1 feedback pass adds to
+	// ReconstructTime and, when it re-detects, to DetectTime).
 	DecodeTime      time.Duration
 	ReconstructTime time.Duration
 	DetectTime      time.Duration
-	// Workers and DetectShards record the resolved parallelism the
-	// analysis actually ran with (after GOMAXPROCS expansion).
-	Workers      int
-	DetectShards int
+	// Workers records the resolved parallelism the analysis actually ran
+	// with (after GOMAXPROCS expansion).
+	Workers int
 	// Segments is the number of trace segments the producing Analyzer
 	// session accepted (0 for a plain whole-trace Analyze).
 	Segments int
@@ -306,18 +287,6 @@ func workerCount(n int) int {
 	return n
 }
 
-// shardCount resolves the DetectShards knob with the same convention
-// (0 and 1 both mean the sequential detector).
-func shardCount(n int) int {
-	if n < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // defaultPathCache is the process-wide decoded-path cache used when
 // AnalysisOptions names no explicit one. Bounded small: entries hold
 // decoded paths, the dominant per-trace memory cost.
@@ -334,27 +303,14 @@ func pathCacheFor(opts *AnalysisOptions) *synthesis.Cache {
 	return defaultPathCache
 }
 
-// newReportSink picks the detector for the resolved shard count: the
-// address-sharded parallel detector above 1, sequential FastTrack at 1.
-func newReportSink(shards int, ropts race.Options) race.ReportSink {
-	if shards > 1 {
-		return race.NewShardedDetector(shards, ropts)
-	}
-	return race.NewDetector(ropts)
-}
-
-// Analyze runs the offline phase over a collected trace. It is the single
-// entry point for both sequential and parallel analysis: Workers fans out
-// synthesis and reconstruction, DetectShards fans out detection. Unless
-// opts.Strict is set, the analysis is fault-tolerant: corrupt trace
+// Analyze runs the offline phase over a collected trace, as one pipeline
+// at every Workers count: synthesis and reconstruction fan out per thread,
+// then one sequential FastTrack pass detects, then the §5.1 feedback runs.
+// Unless opts.Strict is set, the analysis is fault-tolerant: corrupt trace
 // regions and failing threads degrade the result (see Degradation) instead
 // of aborting it.
 func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*AnalysisResult, error) {
-	if opts.SegmentSize > 0 {
-		return analyzeSegmented(p, tr, opts)
-	}
 	workers := workerCount(opts.Workers)
-	shards := shardCount(opts.DetectShards)
 	retries := threadRetries(opts.ThreadRetries)
 	tel, telErr := resolveTelemetry(opts.Telemetry, opts.MetricsAddr)
 	if telErr != nil {
@@ -362,7 +318,7 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	}
 	span := tel.StartSpan("analyze")
 	defer span.End()
-	res := &AnalysisResult{Workers: workers, DetectShards: shards}
+	res := &AnalysisResult{Workers: workers}
 	deg := &res.Degradation
 
 	if opts.FaultSpec != nil && !opts.FaultSpec.Zero() {
@@ -403,11 +359,7 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	}
 	if tts == nil {
 		errsBefore := len(deg.ThreadErrors)
-		if workers > 1 {
-			tts, err = synthesizeParallel(p, tr, workers, sopts, opts.Strict, retries, deg)
-		} else {
-			tts, err = synthesizeGuarded(p, tr, sopts, opts.Strict, retries, deg)
-		}
+		tts, err = synthesizeThreads(p, tr, workers, sopts, opts.Strict, retries, deg)
 		if err != nil {
 			return nil, fmt.Errorf("core: synthesis: %w", err)
 		}
@@ -435,7 +387,6 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 		TrackAllocations:   !opts.DisableAllocationTracking,
 		MaxReports:         opts.MaxReports,
 		Telemetry:          tel,
-		Workers:            opts.DetectWorkers,
 		ShadowCapacityHint: opts.ShadowCapacityHint,
 	}
 	engine := replay.NewEngine(p, replay.Config{Mode: opts.Mode, Telemetry: tel})
@@ -443,36 +394,22 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 		engine = engine.DisableMemoryEmulation()
 	}
 
-	var (
-		recon map[int32]threadRecon
-		det   race.ReportSink
-		terrs []*ThreadError
-	)
-	if workers > 1 {
-		spanStream := tel.StartSpan("reconstruct+detect")
-		recon, det, res.ReconstructTime, res.DetectTime, terrs = streamPass(engine, tts, tr.Sync, workers, shards, ropts, retries)
-		spanStream.End()
-		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
-			return nil, err
-		}
-	} else {
-		t1 := time.Now()
-		spanRecon := tel.StartSpan("reconstruct")
-		recon, terrs = reconstructThreads(engine, tts, sortedTIDs(tts), 1, retries, tel, nil)
-		spanRecon.End()
-		if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
-			return nil, err
-		}
-		res.ReconstructTime = time.Since(t1)
-
-		t2 := time.Now()
-		spanDetect := tel.StartSpan("detect")
-		det = detect(shards, ropts, tr.Sync, accessesOf(recon))
-		spanDetect.End()
-		res.DetectTime = time.Since(t2)
+	t1 := time.Now()
+	spanRecon := tel.StartSpan("reconstruct")
+	recon, terrs := reconstructThreads(engine, tts, sortedTIDs(tts), workers, retries, tel)
+	spanRecon.End()
+	if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
+		return nil, err
 	}
+	res.ReconstructTime = time.Since(t1)
 	res.ReplayStats = statsOf(recon)
 	accesses := accessesOf(recon)
+
+	t2 := time.Now()
+	spanDetect := tel.StartSpan("detect")
+	det := detect(ropts, tr.Sync, accesses)
+	spanDetect.End()
+	res.DetectTime = time.Since(t2)
 
 	// §5.1 feedback: if races were found and reconstruction used memory
 	// emulation, regenerate the trace with the racy locations invalidated
@@ -496,7 +433,7 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 			res.Regenerated = true
 			if changed {
 				t2 := time.Now()
-				det = detect(shards, ropts, tr.Sync, accesses)
+				det = detect(ropts, tr.Sync, accesses)
 				res.DetectTime += time.Since(t2)
 			}
 		}
@@ -515,51 +452,6 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	publishAnalysis(tel, res)
 	res.Telemetry = tel.Snapshot()
 	return res, nil
-}
-
-// analyzeSegmented honours AnalysisOptions.SegmentSize: split the trace
-// into serialised chunks of at most that many bytes and drive them through
-// an Analyzer session — the same path streamed ingest takes.
-func analyzeSegmented(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*AnalysisResult, error) {
-	n := int((tr.TotalBytes() + uint64(opts.SegmentSize) - 1) / uint64(opts.SegmentSize))
-	if n < 1 {
-		n = 1
-	}
-	a, err := NewAnalyzer(p, opts) // clears SegmentSize for the session's rounds
-	if err != nil {
-		return nil, err
-	}
-	for _, seg := range tr.Split(n) {
-		if err := a.Feed(seg); err != nil {
-			return nil, err
-		}
-	}
-	return a.Finish()
-}
-
-// synthesizeGuarded is the sequential synthesis pass with per-thread error
-// isolation: a failing or panicking thread is dropped in lenient mode
-// (recorded in deg), and aborts in strict mode.
-func synthesizeGuarded(p *prog.Program, tr *tracefmt.Trace, sopts synthesis.Options, strict bool, retries int, deg *Degradation) (map[int32]*synthesis.ThreadTrace, error) {
-	out := map[int32]*synthesis.ThreadTrace{}
-	for _, tid := range tr.TIDs() {
-		tid := tid
-		var tt *synthesis.ThreadTrace
-		te := runWithRetry(tid, "synthesis", retries, func() error {
-			var err error
-			tt, err = synthesis.SynthesizeThreadWith(p, tr, tid, sopts)
-			return err
-		})
-		if te != nil {
-			if strict {
-				return nil, te
-			}
-			deg.recordThreadError(te)
-			continue
-		}
-		out[tid] = tt
-	}
-	return out, nil
 }
 
 // threadRecon is one thread's reconstruction: its accesses and stats, and
@@ -599,11 +491,10 @@ func sortedTIDs(tts map[int32]*synthesis.ThreadTrace) []int32 {
 	return tids
 }
 
-// detect runs one sequential (or sharded) detection over a materialised
-// access map.
-func detect(shards int, ropts race.Options, syncRecs []tracefmt.SyncRecord, accesses map[int32][]replay.Access) race.ReportSink {
-	det := newReportSink(shards, ropts)
-	race.Feed(det, syncRecs, accesses)
+// detect runs one FastTrack pass over a materialised access map. Finish
+// publishes the pass's prorace_detect_* series.
+func detect(ropts race.Options, syncRecs []tracefmt.SyncRecord, accesses map[int32][]replay.Access) *race.Detector {
+	det := race.Detect(syncRecs, accesses, ropts)
 	det.Finish()
 	return det
 }
@@ -630,7 +521,7 @@ func regenerate(engine *replay.Engine, racy map[uint64]bool, tts map[int32]*synt
 		}
 		rerun = append(rerun, tid)
 	}
-	redone, terrs := reconstructThreads(engine, tts, rerun, workers, retries, tel, nil)
+	redone, terrs := reconstructThreads(engine, tts, rerun, workers, retries, tel)
 	for _, tid := range rerun {
 		r, ok := redone[tid]
 		if ok {

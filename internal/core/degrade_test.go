@@ -173,41 +173,35 @@ func TestStrictLenientIdenticalOnCleanTrace(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, -1} {
-		for _, shards := range []int{1, 4} {
-			opts := AnalysisOptions{
-				Mode: replay.ModeForwardBackward, Workers: workers, DetectShards: shards,
+		opts := AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers}
+		strictOpts := opts
+		strictOpts.Strict = true
+		lenient, err := Analyze(built.Workload.Program, tr.Trace, opts)
+		if err != nil {
+			t.Fatalf("w=%d lenient: %v", workers, err)
+		}
+		strict, err := Analyze(built.Workload.Program, tr.Trace, strictOpts)
+		if err != nil {
+			t.Fatalf("w=%d strict: %v", workers, err)
+		}
+		if lenient.Degradation.Degraded() {
+			t.Fatalf("w=%d: clean trace marked degraded: %s", workers, lenient.Degradation.Summary())
+		}
+		if lenient.ReplayStats != strict.ReplayStats {
+			t.Fatalf("w=%d: replay stats differ", workers)
+		}
+		lk, sk := reportKeys(lenient), reportKeys(strict)
+		if len(lk) != len(sk) {
+			t.Fatalf("w=%d: %d lenient vs %d strict reports", workers, len(lk), len(sk))
+		}
+		for i := range lk {
+			if lk[i] != sk[i] {
+				t.Fatalf("w=%d: report %d differs", workers, i)
 			}
-			strictOpts := opts
-			strictOpts.Strict = true
-			lenient, err := Analyze(built.Workload.Program, tr.Trace, opts)
-			if err != nil {
-				t.Fatalf("w=%d s=%d lenient: %v", workers, shards, err)
-			}
-			strict, err := Analyze(built.Workload.Program, tr.Trace, strictOpts)
-			if err != nil {
-				t.Fatalf("w=%d s=%d strict: %v", workers, shards, err)
-			}
-			if lenient.Degradation.Degraded() {
-				t.Fatalf("w=%d s=%d: clean trace marked degraded: %s",
-					workers, shards, lenient.Degradation.Summary())
-			}
-			if lenient.ReplayStats != strict.ReplayStats {
-				t.Fatalf("w=%d s=%d: replay stats differ", workers, shards)
-			}
-			lk, sk := reportKeys(lenient), reportKeys(strict)
-			if len(lk) != len(sk) {
-				t.Fatalf("w=%d s=%d: %d lenient vs %d strict reports",
-					workers, shards, len(lk), len(sk))
-			}
-			for i := range lk {
-				if lk[i] != sk[i] {
-					t.Fatalf("w=%d s=%d: report %d differs", workers, shards, i)
-				}
-			}
-			for _, r := range lenient.Reports {
-				if r.GapAdjacent {
-					t.Fatalf("clean-trace report flagged gap-adjacent")
-				}
+		}
+		for _, r := range lenient.Reports {
+			if r.GapAdjacent {
+				t.Fatalf("clean-trace report flagged gap-adjacent")
 			}
 		}
 	}

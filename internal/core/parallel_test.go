@@ -87,7 +87,7 @@ func TestParallelAnalysisMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWorkersAndShardsMatchSequential(t *testing.T) {
+func TestAnalyzeWorkersMatchSequential(t *testing.T) {
 	bug, err := bugs.ByID("apache-21287")
 	if err != nil {
 		t.Fatal(err)
@@ -104,44 +104,36 @@ func TestAnalyzeWorkersAndShardsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []AnalysisOptions{
-		{Mode: replay.ModeForwardBackward, Workers: 4},
-		{Mode: replay.ModeForwardBackward, DetectShards: 4},
-		{Mode: replay.ModeForwardBackward, Workers: 4, DetectShards: 4},
-		{Mode: replay.ModeForwardBackward, Workers: -1, DetectShards: -1},
-	} {
-		got, err := Analyze(built.Workload.Program, tr.Trace, cfg)
+	for _, workers := range []int{1, 2, 4, -1} {
+		got, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.ReplayStats != seq.ReplayStats {
-			t.Fatalf("workers=%d shards=%d: replay stats differ:\n got %+v\nwant %+v",
-				cfg.Workers, cfg.DetectShards, got.ReplayStats, seq.ReplayStats)
+			t.Fatalf("workers=%d: replay stats differ:\n got %+v\nwant %+v", workers, got.ReplayStats, seq.ReplayStats)
 		}
 		if len(got.Reports) != len(seq.Reports) {
-			t.Fatalf("workers=%d shards=%d: %d reports, want %d",
-				cfg.Workers, cfg.DetectShards, len(got.Reports), len(seq.Reports))
+			t.Fatalf("workers=%d: %d reports, want %d", workers, len(got.Reports), len(seq.Reports))
 		}
 		for i := range got.Reports {
-			if got.Reports[i].Key() != seq.Reports[i].Key() {
-				t.Fatalf("workers=%d shards=%d: report %d differs",
-					cfg.Workers, cfg.DetectShards, i)
+			if got.Reports[i] != seq.Reports[i] {
+				t.Fatalf("workers=%d: report %d = %+v, want %+v", workers, i, got.Reports[i], seq.Reports[i])
 			}
 		}
 		if got.Regenerated != seq.Regenerated {
-			t.Errorf("workers=%d shards=%d: regeneration behaviour differs", cfg.Workers, cfg.DetectShards)
+			t.Errorf("workers=%d: regeneration behaviour differs", workers)
 		}
 	}
 }
 
-func TestWorkerAndShardCountResolution(t *testing.T) {
-	if workerCount(0) != 1 || shardCount(0) != 1 || shardCount(1) != 1 {
+func TestWorkerCountResolution(t *testing.T) {
+	if workerCount(0) != 1 {
 		t.Error("0 must mean sequential")
 	}
-	if workerCount(-1) < 1 || shardCount(-3) < 1 {
+	if workerCount(-1) < 1 {
 		t.Error("negative must resolve to GOMAXPROCS")
 	}
-	if workerCount(6) != 6 || shardCount(6) != 6 {
+	if workerCount(6) != 6 {
 		t.Error("positive counts must pass through")
 	}
 }

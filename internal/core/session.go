@@ -20,7 +20,7 @@ import (
 // caller relies on: feeding a trace in 1, 2 or N segments — cut anywhere,
 // including mid PT packet — and calling Finish yields a result
 // byte-identical to Analyze over the whole trace, at every Workers /
-// DetectShards / path-cache configuration. The session owns what makes
+// path-cache configuration. The session owns what makes
 // that cheap to re-derive and safe to carry:
 //
 //   - the merged trace accumulated so far (segments are re-concatenated
@@ -31,16 +31,15 @@ import (
 //     at session creation and reused by every analysis round;
 //   - the decoded-path cache named in the options (or the process-wide
 //     default), so repeated rounds over overlapping content share decodes;
-//   - the detector output of the last round (reports, racy addresses,
-//     shard state summary), returned without recomputation when no new
-//     segment arrived since;
+//   - the detector output of the last round (reports, racy addresses),
+//     returned without recomputation when no new segment arrived since;
 //   - session-level degradation: a rejected segment (foreign run header)
 //     is recorded and surfaced in every subsequent result's Degradation
 //     instead of poisoning the session.
 //
 // An Analyzer is safe for concurrent use; Feed/Snapshot/Finish serialise
 // on an internal lock (the analysis itself parallelises internally via
-// Workers/DetectShards).
+// Workers).
 type Analyzer struct {
 	p    *prog.Program
 	opts AnalysisOptions
@@ -74,12 +73,10 @@ func NewAnalyzer(p *prog.Program, opts AnalysisOptions) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The session is the segmentation layer: rounds run the plain
-	// whole-trace analysis. A SegmentSize left set would make each round
-	// re-open a nested session (see Analyze) ad infinitum.
+	// Rounds reuse the registry resolved here instead of resolving (and
+	// possibly starting a listener) again.
 	opts.Telemetry = tel
 	opts.MetricsAddr = ""
-	opts.SegmentSize = 0
 	return &Analyzer{p: p, opts: opts, tel: tel}, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -32,15 +33,16 @@ func oracleTrace(t *testing.T) (*prog.Program, *TraceResult) {
 }
 
 // sessionMatrix is the segment-equivalence sweep: every segment count ×
-// worker count × shard count, clean and fault-injected. The contract under
-// test is the Analyzer's headline guarantee — feeding a trace in N segments
-// and calling Finish is byte-identical to one-shot Analyze, including the
-// telemetry counter totals the run publishes.
-func sessionMatrix(short bool) (segs, workers, shards []int) {
+// worker count, clean and fault-injected. The contract under test is the
+// Analyzer's headline guarantee — feeding a trace in N segments and calling
+// Finish, at any worker count, is byte-identical to one sequential one-shot
+// Analyze, including the telemetry counter totals the run publishes.
+// Segment count 0 is the one-shot Analyze itself at that worker count.
+func sessionMatrix(short bool) (segs, workers []int) {
 	if short {
-		return []int{1, 2, 8}, []int{0, 4}, []int{0, 4}
+		return []int{0, 1, 2, 8}, []int{0, 4}
 	}
-	return []int{1, 2, 8, 17}, []int{0, 1, 4}, []int{0, 1, 4}
+	return []int{0, 1, 2, 8, 17}, []int{0, 1, 4}
 }
 
 // pipelineCounters strips the session-layer series (segment acceptance
@@ -73,65 +75,53 @@ func TestSegmentEquivalenceMatrix(t *testing.T) {
 			{Kind: faultinject.SyncGap, Rate: 0.01},
 		}}},
 	}
-	segCounts, workerCounts, shardCounts := sessionMatrix(testing.Short())
+	segCounts, workerCounts := sessionMatrix(testing.Short())
 
 	for _, variant := range variants {
 		t.Run(variant.name, func(t *testing.T) {
-			for _, workers := range workerCounts {
-				for _, shards := range shardCounts {
-					// One-shot reference at this exact parallelism config,
-					// with its own registry and path cache so counter totals
-					// are attributable to this run alone.
-					ref := AnalysisOptions{
-						Mode:    replay.ModeForwardBackward,
-						Workers: workers, DetectShards: shards,
-						FaultSpec: variant.fault,
-						PathCache: synthesis.NewCache(2),
-						Telemetry: telemetry.New(),
-					}
-					want, err := Analyze(p, tr.Trace, ref)
-					if err != nil {
-						t.Fatalf("workers=%d shards=%d reference: %v", workers, shards, err)
-					}
-					if variant.fault == nil && len(want.Reports) == 0 {
-						t.Fatal("clean reference found no races; the equivalence test needs reports to compare")
-					}
-					wantText := report.FormatRaces(p, want.Reports)
-					wantCounters := pipelineCounters(want.Telemetry)
+			// One sequential one-shot reference, with its own registry and
+			// path cache so counter totals are attributable to this run
+			// alone; every cell below must reproduce it exactly.
+			ref := AnalysisOptions{
+				Mode:      replay.ModeForwardBackward,
+				FaultSpec: variant.fault,
+				PathCache: synthesis.NewCache(2),
+				Telemetry: telemetry.New(),
+			}
+			want, err := Analyze(p, tr.Trace, ref)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if variant.fault == nil && len(want.Reports) == 0 {
+				t.Fatal("clean reference found no races; the equivalence test needs reports to compare")
+			}
+			wantText := report.FormatRaces(p, want.Reports)
+			wantCounters := pipelineCounters(want.Telemetry)
 
-					for _, n := range segCounts {
-						label := variant.name + " segments=" + itoa(n) +
-							" workers=" + itoa(workers) + " shards=" + itoa(shards)
-						opts := ref
-						opts.PathCache = synthesis.NewCache(2)
-						opts.Telemetry = telemetry.New()
-						a, err := NewAnalyzer(p, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						for i, seg := range tr.Trace.Split(n) {
-							if err := a.Feed(seg); err != nil {
-								t.Fatalf("%s: feed segment %d: %v", label, i, err)
-							}
-						}
-						got, err := a.Finish()
-						if err != nil {
-							t.Fatalf("%s: finish: %v", label, err)
-						}
-						mustMatch(t, label, want, got)
-						if gotText := report.FormatRaces(p, got.Reports); gotText != wantText {
-							t.Fatalf("%s: rendered reports differ:\nwant:\n%s\ngot:\n%s", label, wantText, gotText)
-						}
-						if got.Segments != n {
-							t.Fatalf("%s: result records %d segments", label, got.Segments)
-						}
-						if gotCounters := pipelineCounters(got.Telemetry); !reflect.DeepEqual(wantCounters, gotCounters) {
-							t.Fatalf("%s: pipeline counter totals differ:\nwant %v\n got %v", label, wantCounters, gotCounters)
-						}
-						if want.Degradation.Summary() != got.Degradation.Summary() {
-							t.Fatalf("%s: degradation summaries differ:\nwant %q\n got %q",
-								label, want.Degradation.Summary(), got.Degradation.Summary())
-						}
+			for _, workers := range workerCounts {
+				for _, n := range segCounts {
+					label := variant.name + " segments=" + itoa(n) + " workers=" + itoa(workers)
+					opts := ref
+					opts.Workers = workers
+					opts.PathCache = synthesis.NewCache(2)
+					opts.Telemetry = telemetry.New()
+					got, err := analyzeInSegments(p, tr.Trace, opts, n)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					mustMatch(t, label, want, got)
+					if gotText := report.FormatRaces(p, got.Reports); gotText != wantText {
+						t.Fatalf("%s: rendered reports differ:\nwant:\n%s\ngot:\n%s", label, wantText, gotText)
+					}
+					if got.Segments != n {
+						t.Fatalf("%s: result records %d segments", label, got.Segments)
+					}
+					if gotCounters := pipelineCounters(got.Telemetry); !reflect.DeepEqual(wantCounters, gotCounters) {
+						t.Fatalf("%s: pipeline counter totals differ:\nwant %v\n got %v", label, wantCounters, gotCounters)
+					}
+					if want.Degradation.Summary() != got.Degradation.Summary() {
+						t.Fatalf("%s: degradation summaries differ:\nwant %q\n got %q",
+							label, want.Degradation.Summary(), got.Degradation.Summary())
 					}
 				}
 			}
@@ -139,28 +129,22 @@ func TestSegmentEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSegmentSizeMatchesOneShot covers the AnalysisOptions.SegmentSize
-// knob: the whole-trace entry point routed through the session layer.
-func TestAnalyzeSegmentSizeMatchesOneShot(t *testing.T) {
-	built, tr := racyTrace(t)
-	base := AnalysisOptions{Mode: replay.ModeForwardBackward, DisablePathCache: true}
-	want, err := Analyze(built.Workload.Program, tr.Trace, base)
+// analyzeInSegments feeds tr to a fresh Analyzer in n segments and seals
+// it; n == 0 is the one-shot Analyze.
+func analyzeInSegments(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions, n int) (*AnalysisResult, error) {
+	if n == 0 {
+		return Analyze(p, tr, opts)
+	}
+	a, err := NewAnalyzer(p, opts)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	seg := base
-	seg.SegmentSize = int(tr.Trace.TotalBytes()/8) + 1
-	got, err := Analyze(built.Workload.Program, tr.Trace, seg)
-	if err != nil {
-		t.Fatal(err)
+	for i, seg := range tr.Split(n) {
+		if err := a.Feed(seg); err != nil {
+			return nil, fmt.Errorf("feed segment %d: %w", i, err)
+		}
 	}
-	mustMatch(t, "SegmentSize=len/8", want, got)
-	if got.Segments < 2 {
-		t.Fatalf("SegmentSize analysis used %d segments, want several", got.Segments)
-	}
-	if want.Segments != 0 {
-		t.Fatalf("one-shot analysis claims %d segments", want.Segments)
-	}
+	return a.Finish()
 }
 
 // TestAnalyzerSnapshotAccumulates drives a session Snapshot-by-Snapshot:

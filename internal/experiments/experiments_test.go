@@ -267,3 +267,35 @@ func TestFaultSweepQuick(t *testing.T) {
 		t.Fatalf("render missing expected columns:\n%s", out)
 	}
 }
+
+// TestMemScaleSmall runs the shadow-memory experiment at a small scale: the
+// two representations each report the workload's variables, the flat
+// table accounts its own shadow bytes, and a budget below the measured
+// bytes per variable fails the run.
+func TestMemScaleSmall(t *testing.T) {
+	h := NewHarness(tinyConfig())
+	cfg := MemScaleConfig{Vars: 4096, Threads: 8}
+	res, err := h.MemScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("%d rows, want reference and flat", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if row.Variables != cfg.Vars {
+			t.Errorf("%s: %d variables, want %d", row.Detector, row.Variables, cfg.Vars)
+		}
+	}
+	flat := res.Rows[1]
+	if flat.ShadowBytesPerVar <= 0 || flat.InternedVCs == 0 {
+		t.Errorf("flat row lacks its shadow accounting: %+v", flat)
+	}
+	if out := res.Render(); !strings.Contains(out, "flat slab table") {
+		t.Errorf("render misses the flat row:\n%s", out)
+	}
+	cfg.BudgetBytesPerVar = flat.ShadowBytesPerVar / 2
+	if _, err := h.MemScale(cfg); err == nil {
+		t.Error("a budget below the measured bytes per variable passed")
+	}
+}

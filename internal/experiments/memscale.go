@@ -17,15 +17,15 @@ import (
 // read-shared workload — the array-scan shape that made the map-based
 // shadow state the pipeline's memory ceiling — run through the frozen
 // reference representation (map[varKey]*varState, heap vector clocks, two
-// provenance maps per shared variable), the flat slab shadow table, and
-// the striped sharded detector. Every variable inflates to read-shared,
+// provenance maps per shared variable) and the flat slab shadow table.
+// Every variable inflates to read-shared,
 // the worst case for per-variable state. The workload is race-free so the
 // measurement isolates shadow state from report machinery, which is
 // identical across representations.
 //
 // Two memory views are recorded per detector: the Go-heap delta around
 // the run (GC-settled, the honest whole-process number) and, for the flat
-// representations, the detector's own ShadowStats accounting (table +
+// representation, the detector's own ShadowStats accounting (table +
 // interner + provenance slabs — the stable number CI budgets ratchet on).
 
 // MemScaleConfig sizes the workload and sets the assertion thresholds.
@@ -34,9 +34,6 @@ type MemScaleConfig struct {
 	// each read by one of Threads/2 thread pairs.
 	Vars    int `json:"vars"`
 	Threads int `json:"threads"`
-	// Shards and Workers configure the striped run.
-	Shards  int `json:"shards"`
-	Workers int `json:"workers"`
 	// BudgetBytesPerVar, when > 0, fails the experiment if the flat
 	// detector's self-reported peak shadow bytes per variable exceed it —
 	// the CI ratchet.
@@ -49,7 +46,7 @@ type MemScaleConfig struct {
 // DefaultMemScale is the acceptance-scale configuration: ≥1M variables,
 // 64 threads.
 func DefaultMemScale() MemScaleConfig {
-	return MemScaleConfig{Vars: 1 << 20, Threads: 64, Shards: 8, Workers: 4}
+	return MemScaleConfig{Vars: 1 << 20, Threads: 64}
 }
 
 // MemScaleRow is one detector's measurements.
@@ -61,7 +58,7 @@ type MemScaleRow struct {
 	HeapBytes       uint64  `json:"heap_bytes"`
 	HeapBytesPerVar float64 `json:"heap_bytes_per_var"`
 	// ShadowBytes/ShadowPeakBytes are the detector's own accounting (flat
-	// representations only; zero for the reference).
+	// representation only; zero for the reference).
 	ShadowBytes       uint64  `json:"shadow_bytes,omitempty"`
 	ShadowPeakBytes   uint64  `json:"shadow_peak_bytes,omitempty"`
 	ShadowBytesPerVar float64 `json:"shadow_bytes_per_var,omitempty"`
@@ -170,14 +167,9 @@ func (h *Harness) MemScale(cfg MemScaleConfig) (*MemScaleResult, error) {
 		return flat, flat.ShadowStats
 	})
 	res.Rows = append(res.Rows, flatRow)
-
-	stripedRow := measure(fmt.Sprintf("striped (%d stripes × %d workers)", cfg.Shards, cfg.Workers),
-		func() (race.ReportSink, func() race.ShadowStats) {
-			striped := race.NewShardedDetector(cfg.Shards, race.Options{
-				Workers: cfg.Workers, ShadowCapacityHint: cfg.Vars})
-			return striped, striped.ShadowStats
-		})
-	res.Rows = append(res.Rows, stripedRow)
+	// The input must outlive every measured window: freed inside the last
+	// one, it would read as that representation's saving.
+	runtime.KeepAlive(accs)
 
 	if flatRow.HeapBytesPerVar > 0 {
 		res.HeapReduction = refRow.HeapBytesPerVar / flatRow.HeapBytesPerVar

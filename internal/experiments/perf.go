@@ -20,11 +20,11 @@ import (
 // The perf experiment re-runs the offline pipeline's key benchmarks —
 // the same bodies as the root package's BenchmarkParallelAnalysis,
 // BenchmarkReplayForwardBackward, BenchmarkPTDecode and
-// BenchmarkShardedDetection — through testing.Benchmark, and writes the
+// BenchmarkDetection — through testing.Benchmark, and writes the
 // measurements next to a pinned pre-optimisation baseline so the
-// allocation-lean work (decoded-path cache, pooled replay state, batched
-// access streaming) stays accountable: ns/op and allocs/op, current vs
-// baseline, with the speedup factors computed.
+// allocation-lean work (decoded-path cache, pooled replay state) stays
+// accountable: ns/op and allocs/op, current vs baseline, with the speedup
+// factors computed.
 
 // PerfBench is one benchmark measurement.
 type PerfBench struct {
@@ -56,13 +56,11 @@ type PerfResult struct {
 // perfBaselines pins the pre-optimisation numbers (benchtime=5x on the
 // development machine) the speedup columns divide against.
 var perfBaselines = map[string]PerfBench{
-	"parallel_analysis/sequential":     {NsPerOp: 527029049, BytesPerOp: 254526369, AllocsPerOp: 190447},
-	"parallel_analysis/workers":        {NsPerOp: 547211853, BytesPerOp: 254526376, AllocsPerOp: 190447},
-	"parallel_analysis/workers+shards": {NsPerOp: 556615601, BytesPerOp: 254518996, AllocsPerOp: 190446},
-	"replay_forward_backward":          {NsPerOp: 168230746, BytesPerOp: 19228368, AllocsPerOp: 12543},
-	"pt_decode":                        {NsPerOp: 24869778, BytesPerOp: 67692408, AllocsPerOp: 3394},
-	"sharded_detection/sequential":     {NsPerOp: 14550595, BytesPerOp: 3527972, AllocsPerOp: 4133},
-	"sharded_detection/shards=4":       {NsPerOp: 16448801, BytesPerOp: 6690992, AllocsPerOp: 5487},
+	"parallel_analysis/sequential": {NsPerOp: 527029049, BytesPerOp: 254526369, AllocsPerOp: 190447},
+	"parallel_analysis/workers":    {NsPerOp: 547211853, BytesPerOp: 254526376, AllocsPerOp: 190447},
+	"replay_forward_backward":      {NsPerOp: 168230746, BytesPerOp: 19228368, AllocsPerOp: 12543},
+	"pt_decode":                    {NsPerOp: 24869778, BytesPerOp: 67692408, AllocsPerOp: 3394},
+	"detection":                    {NsPerOp: 14550595, BytesPerOp: 3527972, AllocsPerOp: 4133},
 }
 
 // Perf runs the suite. Each benchmark is auto-scaled by testing.Benchmark
@@ -116,8 +114,6 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	}
 	add("parallel_analysis/sequential", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
 	add("parallel_analysis/workers", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: -1}))
-	add("parallel_analysis/workers+shards", analysis(core.AnalysisOptions{
-		Mode: replay.ModeForwardBackward, Workers: -1, DetectShards: -1}))
 
 	// segmented_analysis — the session API's cost contract: feeding the
 	// trace as 8 segments through an Analyzer (merge + one deferred
@@ -125,9 +121,25 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	// are byte-identical (the equivalence matrix proves it); this row
 	// prices the segment accounting and re-merge the daemon path adds.
 	add("segmented_analysis/oneshot", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
-	segSize := int(mysqlTrace.Trace.TotalBytes()/8) + 1
-	add("segmented_analysis/segments=8", analysis(core.AnalysisOptions{
-		Mode: replay.ModeForwardBackward, SegmentSize: segSize}))
+	segments := mysqlTrace.Trace.Split(8)
+	add("segmented_analysis/segments=8", func(b *testing.B) {
+		opts := core.AnalysisOptions{Mode: replay.ModeForwardBackward,
+			PathCache: synthesis.NewCache(synthesis.DefaultCacheCapacity)}
+		for i := 0; i < b.N; i++ {
+			a, err := core.NewAnalyzer(mysql.Program, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, seg := range segments {
+				if err := a.Feed(seg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := a.Finish(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// analyze_telemetry — BenchmarkAnalyzeTelemetryOff/On: the same full
 	// analysis with telemetry disabled (nil registry — must match
@@ -169,8 +181,8 @@ func (h *Harness) Perf() (*PerfResult, error) {
 		}
 	})
 
-	// sharded_detection — BenchmarkShardedDetection: the detect phase over
-	// a prepared extended trace, sequential FastTrack vs 4 shards.
+	// detection — BenchmarkDetection: the detect phase over a prepared
+	// extended trace.
 	detTrace, err := core.TraceProgram(mysql.Program, core.TraceOptions{
 		Kind: driver.ProRace, Period: 500, Seed: 3, EnablePT: true, Machine: mysql.Machine})
 	if err != nil {
@@ -182,14 +194,9 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	}
 	detEngine := replay.NewEngine(mysql.Program, replay.Config{Mode: replay.ModeForwardBackward})
 	accesses, _ := detEngine.ReconstructAll(detTTS)
-	add("sharded_detection/sequential", func(b *testing.B) {
+	add("detection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			race.Detect(detTrace.Trace.Sync, accesses, race.Options{TrackAllocations: true})
-		}
-	})
-	add("sharded_detection/shards=4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			race.DetectSharded(detTrace.Trace.Sync, accesses, 4, race.Options{TrackAllocations: true})
 		}
 	})
 	return res, nil

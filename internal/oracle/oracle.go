@@ -21,9 +21,8 @@
 // period 1000 are different interleavings of the same program, and each is
 // scored against the races of its own execution.
 //
-// Metamorphic invariants (CheckDeterminism) re-analyze one trace across
-// {workers}×{detect shards}, with the path cache on and off, and in strict
-// vs lenient mode, requiring byte-identical reports every time.
+// Metamorphic invariants (CheckDeterminism) re-analyze one trace at 0 and 4
+// workers, with the path cache on and off, and in strict vs lenient mode, requiring byte-identical reports every time.
 package oracle
 
 import (
@@ -156,7 +155,7 @@ type Options struct {
 	// Periods to score; must include 1 for the recall@1 invariant.
 	// Sorted ascending before use. Default {1, 10, 100, 1000}.
 	Periods []uint64
-	// Determinism enables the metamorphic worker/shard/cache/strict
+	// Determinism enables the metamorphic worker/cache/strict
 	// matrix on this seed's period-1 trace (expensive; soak runs it on a
 	// subset of seeds).
 	Determinism bool
@@ -310,14 +309,9 @@ func determinismConfigs() []determinismConfig {
 	base := core.AnalysisOptions{Mode: replay.ModeForwardBackward}
 	var out []determinismConfig
 	for _, workers := range []int{0, 4} {
-		for _, shards := range []int{0, 4} {
-			o := base
-			o.Workers, o.DetectShards = workers, shards
-			out = append(out, determinismConfig{
-				name: fmt.Sprintf("workers=%d shards=%d", workers, shards),
-				opts: o,
-			})
-		}
+		o := base
+		o.Workers = workers
+		out = append(out, determinismConfig{name: fmt.Sprintf("workers=%d", workers), opts: o})
 	}
 	nocache := base
 	nocache.DisablePathCache = true

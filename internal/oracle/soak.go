@@ -13,7 +13,7 @@ type SoakConfig struct {
 	// Periods is the sampling-period sweep per seed (default
 	// DefaultPeriods; must include 1 for the recall@1 invariant).
 	Periods []uint64
-	// DeterminismEvery runs the metamorphic worker/shard/cache/strict
+	// DeterminismEvery runs the metamorphic worker/cache/strict
 	// matrix on every Nth seed (0 disables; 1 = every seed).
 	DeterminismEvery int
 	// Witness enables the witnessability axis on every seed: each
@@ -85,7 +85,7 @@ type SoakResult struct {
 //   - aggregate: address recall is monotone non-increasing as the
 //     sampling period grows;
 //   - on every DeterminismEvery-th seed: byte-identical reports across
-//     the worker/shard/cache/strict matrix.
+//     the worker/cache/strict matrix.
 func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 1

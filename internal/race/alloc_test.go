@@ -8,12 +8,35 @@ import (
 	"prorace/internal/tracefmt"
 )
 
+// racyScenario builds a trace with many racy addresses spread across the
+// address space, plus lock-ordered accesses that must stay quiet.
+func racyScenario() ([]tracefmt.SyncRecord, map[int32][]replay.Access) {
+	lock := uint64(0x700000)
+	sync := []tracefmt.SyncRecord{
+		syncRec(1, tracefmt.SyncLock, 10, lock, 0),
+		syncRec(1, tracefmt.SyncUnlock, 30, lock, 0),
+		syncRec(2, tracefmt.SyncLock, 40, lock, 0),
+		syncRec(2, tracefmt.SyncUnlock, 60, lock, 0),
+	}
+	accesses := map[int32][]replay.Access{}
+	// Lock-ordered pair on one address.
+	accesses[1] = append(accesses[1], acc(1, 0x400000, 0x500000, true, 20))
+	accesses[2] = append(accesses[2], acc(2, 0x400010, 0x500000, true, 50))
+	// 64 unordered racy pairs on distinct addresses and PCs.
+	for i := 0; i < 64; i++ {
+		addr := 0x600000 + uint64(i)*0x1000
+		accesses[1] = append(accesses[1], acc(1, 0x410000+uint64(i)*16, addr, true, uint64(100+i)))
+		accesses[2] = append(accesses[2], acc(2, 0x420000+uint64(i)*16, addr, true, uint64(200+i)))
+	}
+	return sync, accesses
+}
+
 // TestWarmDetectorAllocs pins the hot-path allocation behaviour of the
 // detector: once the shadow state for an address set exists, re-processing
 // the same accesses must not allocate at all. Epoch updates, same-epoch
 // fast paths and vector-clock joins all work in place.
 func TestWarmDetectorAllocs(t *testing.T) {
-	sync, accesses := shardScenario()
+	sync, accesses := racyScenario()
 	d := NewDetector(Options{TrackAllocations: true})
 	feed := func() {
 		for i := range sync {
@@ -39,81 +62,20 @@ func TestWarmDetectorAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamingChunkRecycling pins the pooled streaming path: once the
-// event-chunk pool is warm, pushing a thread's events through
-// StreamThread and draining them with recycling must allocate per chunk
-// (channel machinery), not per event.
-func TestStreamingChunkRecycling(t *testing.T) {
-	sync, accesses := shardScenario()
-	events := 0
-	for tid, accs := range accesses {
-		events += len(accs) + len(SyncByTID(sync)[tid])
-	}
-	run := func() {
-		streams := map[int32]<-chan []Event{}
-		for tid, accs := range accesses {
-			ch := make(chan []Event, 2)
-			streams[tid] = ch
-			go StreamThread(ch, SyncByTID(sync)[tid], accs)
-		}
-		FeedStreamsPooled(countSink{}, streams)
-	}
-	run() // warm the chunk pool
-	avg := testing.AllocsPerRun(10, run)
-	// Per run: 2 goroutines, 2 channels, the cursor slice and maps — but
-	// nothing proportional to the event count. A per-event regression on
-	// this workload (130+ events) would overshoot the budget at once.
-	const budget = 64
-	if avg > budget {
-		t.Errorf("pooled streaming of %d events: %.1f allocs/run, budget %d", events, avg, budget)
-	}
-}
-
-type countSink struct{}
-
-func (countSink) HandleSync(*tracefmt.SyncRecord) {}
-
-func (countSink) HandleAccess(*replay.Access) {}
-
-// TestShardedTelemetryOffAddsNoAllocs pins the disabled-telemetry contract
-// on the sharded detection path: without a registry the detector holds a
-// nil queue-depth histogram and nil registry handle, its feeder tallies are
-// plain ints, and the instrumentation calls on the flush path are exactly
-// zero allocations.
-func TestShardedTelemetryOffAddsNoAllocs(t *testing.T) {
-	d := NewShardedDetector(2, Options{})
-	defer d.Finish()
-	if d.tel != nil || d.queueDepth != nil {
-		t.Fatal("sharded detector without telemetry must hold nil handles")
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		d.queueDepth.Observe(3)
-		d.publish()
-	}); avg != 0 {
-		t.Errorf("disabled-telemetry sharded instrumentation: %.1f allocs/run, want 0", avg)
-	}
-}
-
-// TestShardedTelemetryCounts cross-checks the sharded pass's published
-// series: feeder-side event counts are exact (sync broadcasts counted once,
-// not per shard), per-shard events sum to nSync*shards + nAccess, and the
-// read-shared inflation sum across shards equals the sequential detector's
-// count for the same trace.
-func TestShardedTelemetryCounts(t *testing.T) {
-	sync, accesses := shardScenario()
+// TestDetectorTelemetryCounts cross-checks the series a detection pass
+// publishes in Finish: event counts are exact, the inflation counter
+// matches the detector's own tally, the shadow gauges match ShadowStats,
+// and a second Finish publishes nothing more.
+func TestDetectorTelemetryCounts(t *testing.T) {
+	sync, accesses := racyScenario()
 	nAccess := 0
 	for _, accs := range accesses {
 		nAccess += len(accs)
 	}
-
-	seq := NewDetector(Options{TrackAllocations: true})
-	Feed(seq, sync, accesses)
-	seq.Finish()
-
 	reg := telemetry.New()
-	const shards = 4
-	d := DetectSharded(sync, accesses, shards, Options{TrackAllocations: true, Telemetry: reg})
-	_ = d
+	d := Detect(sync, accesses, Options{TrackAllocations: true, Telemetry: reg})
+	d.Finish()
+	d.Finish()
 	s := reg.Snapshot()
 
 	if got := s.Counter("prorace_detect_sync_events_total"); got != uint64(len(sync)) {
@@ -122,20 +84,17 @@ func TestShardedTelemetryCounts(t *testing.T) {
 	if got := s.Counter("prorace_detect_access_events_total"); got != uint64(nAccess) {
 		t.Errorf("access events = %d, want %d", got, nAccess)
 	}
-	if got := s.Counter("prorace_detect_read_share_inflations_total"); got != uint64(seq.inflations) {
-		t.Errorf("sharded inflation sum = %d, sequential = %d", got, seq.inflations)
+	if got := s.Counter("prorace_detect_read_share_inflations_total"); got != uint64(d.inflations) {
+		t.Errorf("inflations = %d, want %d", got, d.inflations)
 	}
-	if got := s.Gauges["prorace_detect_shards"]; got != shards {
-		t.Errorf("shards gauge = %d, want %d", got, shards)
+	st := d.ShadowStats()
+	if got := s.Gauges["prorace_detect_shadow_variables"]; got != int64(st.Variables) || got == 0 {
+		t.Errorf("shadow variables gauge = %d, want %d (non-zero)", got, st.Variables)
 	}
-	var perShard uint64
-	for i := 0; i < shards; i++ {
-		perShard += s.Counter(telemetry.Label("prorace_detect_shard_events_total", "shard", i))
+	if got := s.Gauges["prorace_detect_shadow_bytes"]; got != int64(st.Bytes()) {
+		t.Errorf("shadow bytes gauge = %d, want %d", got, st.Bytes())
 	}
-	if want := uint64(len(sync)*shards + nAccess); perShard != want {
-		t.Errorf("per-shard event sum = %d, want %d (sync broadcast to every shard)", perShard, want)
-	}
-	if got := s.Histograms["prorace_detect_queue_depth"].Count; got == 0 {
-		t.Error("queue-depth histogram recorded no flushes")
+	if got := s.Gauges["prorace_detect_shadow_bytes_peak"]; got != int64(st.PeakBytes()) {
+		t.Errorf("peak shadow bytes gauge = %d, want %d", got, st.PeakBytes())
 	}
 }

@@ -1,9 +1,9 @@
-// Cross-detector equivalence suite: FastTrack, DJIT+, and the sharded
-// parallel detector must agree on the set of reported races for every
+// Cross-detector equivalence suite: FastTrack, DJIT+, and the map-based
+// reference detector must agree on the set of reported races for every
 // input — hand-built synchronization scenarios, every built-in workload,
-// and all of the paper's Table 2 planted bugs. FastTrack's claim (and
-// the sharded detector's design goal) is precision identical to the
-// vector-clock baseline, so any divergence here is a detector bug.
+// and all of the paper's Table 2 planted bugs. FastTrack's claim is
+// precision identical to the vector-clock baseline, so any divergence
+// here is a detector bug.
 //
 // This file is an external test package so it can drive the full
 // pipeline through internal/core, which itself imports internal/race.
@@ -21,12 +21,6 @@ import (
 	"prorace/internal/tracefmt"
 	"prorace/internal/workload"
 )
-
-var shardCounts = []int{1, 4, 7}
-
-// workerCounts oversubscribes and undersubscribes the stripes: 1 worker
-// serialises all stripes, 4 workers share 7 stripes (and idle at 1).
-var workerCounts = []int{1, 4}
 
 func eacc(tid int32, pc, addr uint64, store bool, tsc uint64) replay.Access {
 	return replay.Access{TID: tid, PC: pc, Addr: addr, Store: store, TSC: tsc, Step: -1}
@@ -58,8 +52,8 @@ func sameKeySet(a, b map[[2]uint64]bool) bool {
 
 // checkEquivalence feeds one (sync log, access map) input to every
 // detector and requires identical deduplicated race-key sets. For the
-// sharded detector the bar is higher: its report list must match
-// sequential FastTrack's exactly, in order.
+// reference detector the bar is higher: its report list must match
+// FastTrack's exactly, in order.
 func checkEquivalence(t *testing.T, sync []tracefmt.SyncRecord, accs map[int32][]replay.Access) {
 	t.Helper()
 	opts := race.Options{TrackAllocations: true}
@@ -82,22 +76,6 @@ func checkEquivalence(t *testing.T, sync []tracefmt.SyncRecord, accs map[int32][
 	for i, r := range ref.Reports() {
 		if r != ft.Reports()[i] {
 			t.Fatalf("reference report %d differs from flat table:\n  ref:  %+v\n  flat: %+v", i, r, ft.Reports()[i])
-		}
-	}
-
-	for _, n := range shardCounts {
-		for _, m := range workerCounts {
-			sopts := opts
-			sopts.Workers = m
-			sd := race.DetectSharded(sync, accs, n, sopts)
-			if len(sd.Reports()) != len(ft.Reports()) {
-				t.Fatalf("%d shards × %d workers: %d reports, FastTrack has %d", n, m, len(sd.Reports()), len(ft.Reports()))
-			}
-			for i, r := range sd.Reports() {
-				if r.Key() != ft.Reports()[i].Key() {
-					t.Fatalf("%d shards × %d workers: report %d key differs from FastTrack", n, m, i)
-				}
-			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ package race
 func linearMergeCursors(sink EventSink, cursors []*streamCursor) {
 	for {
 		best := -1
-		var bh *Event
+		var bh *event
 		for i, c := range cursors {
 			h := c.head()
 			if h == nil {

@@ -77,7 +77,7 @@ func mergeTrace(rng *rand.Rand) ([]tracefmt.SyncRecord, map[int32][]replay.Acces
 // referenceMerge runs the linear-scan merge over the trace's materialised
 // per-thread streams, in ascending thread order as Feed builds them.
 func referenceMerge(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access) []mergedEvent {
-	syncByTID := SyncByTID(sync)
+	byTID := syncByTID(sync)
 	tids := make([]int32, 0, len(accesses))
 	for tid := range accesses {
 		tids = append(tids, tid)
@@ -85,45 +85,16 @@ func referenceMerge(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Acce
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	cursors := make([]*streamCursor, len(tids))
 	for i, tid := range tids {
-		cursors[i] = &streamCursor{buf: ThreadStream(syncByTID[tid], accesses[tid])}
+		cursors[i] = &streamCursor{buf: threadStream(byTID[tid], accesses[tid])}
 	}
 	var rec recordSink
 	linearMergeCursors(&rec, cursors)
 	return rec.got
 }
 
-// chunkedStreams delivers each thread's stream over a channel in random
-// chunk sizes, including empty chunks.
-func chunkedStreams(rng *rand.Rand, sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access) map[int32]<-chan []Event {
-	syncByTID := SyncByTID(sync)
-	streams := map[int32]<-chan []Event{}
-	for tid := range accesses {
-		evs := ThreadStream(syncByTID[tid], accesses[tid])
-		var sizes []int
-		for rest := len(evs); rest > 0; {
-			n := rng.Intn(9)
-			if n > rest {
-				n = rest
-			}
-			sizes = append(sizes, n)
-			rest -= n
-		}
-		ch := make(chan []Event, 1)
-		go func() {
-			for _, n := range sizes {
-				ch <- evs[:n:n]
-				evs = evs[n:]
-			}
-			close(ch)
-		}()
-		streams[tid] = ch
-	}
-	return streams
-}
-
-// TestHeapMergeMatchesLinearScan holds the heap-ordered merge behind Feed,
-// FeedStreams and FeedStreamsPooled to the linear-scan reference: every
-// path must deliver the identical event sequence.
+// TestHeapMergeMatchesLinearScan holds the heap-ordered merge behind Feed
+// to the linear-scan reference: it must deliver the identical event
+// sequence.
 func TestHeapMergeMatchesLinearScan(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,31 +103,12 @@ func TestHeapMergeMatchesLinearScan(t *testing.T) {
 
 		var fed recordSink
 		Feed(&fed, sync, accesses)
-
-		var streamed recordSink
-		FeedStreams(&streamed, chunkedStreams(rng, sync, accesses))
-
-		syncByTID := SyncByTID(sync)
-		pooledIn := map[int32]<-chan []Event{}
-		for tid, accs := range accesses {
-			ch := make(chan []Event, 1)
-			go StreamThread(ch, syncByTID[tid], accs)
-			pooledIn[tid] = ch
+		if len(fed.got) != len(want) {
+			t.Fatalf("seed %d: %d events, want %d", seed, len(fed.got), len(want))
 		}
-		var pooled recordSink
-		FeedStreamsPooled(&pooled, pooledIn)
-
-		for _, got := range []struct {
-			name string
-			evs  []mergedEvent
-		}{{"Feed", fed.got}, {"FeedStreams", streamed.got}, {"FeedStreamsPooled", pooled.got}} {
-			if len(got.evs) != len(want) {
-				t.Fatalf("seed %d %s: %d events, want %d", seed, got.name, len(got.evs), len(want))
-			}
-			for i := range want {
-				if got.evs[i] != want[i] {
-					t.Fatalf("seed %d %s: event %d = %+v, want %+v", seed, got.name, i, got.evs[i], want[i])
-				}
+		for i := range want {
+			if fed.got[i] != want[i] {
+				t.Fatalf("seed %d: event %d = %+v, want %+v", seed, i, fed.got[i], want[i])
 			}
 		}
 	}

@@ -13,7 +13,6 @@ package race
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"prorace/internal/replay"
 	"prorace/internal/telemetry"
@@ -86,17 +85,9 @@ type Options struct {
 	// Finish. The event hot path only maintains plain per-detector ints;
 	// nil disables publication entirely.
 	Telemetry *telemetry.Registry
-	// Workers (sharded detector only) bounds the worker goroutines that
-	// multiplex the logical detection stripes: 0 = one worker per stripe
-	// up to GOMAXPROCS, n > 0 = exactly n workers. Stripes are
-	// CAS-claimed, so any worker count produces the identical report
-	// list.
-	Workers int
 	// ShadowCapacityHint pre-sizes each detector's flat shadow table for
 	// the expected live-variable count, avoiding growth rehashes on
-	// workloads whose scale is known up front. 0 = small default. For the
-	// sharded detector the hint names the whole trace's variable count
-	// and is divided across stripes.
+	// workloads whose scale is known up front. 0 = small default.
 	ShadowCapacityHint int
 }
 
@@ -320,8 +311,7 @@ func publishDetect(tel *telemetry.Registry, nSync, nAccess, inflations int) {
 	tel.Counter("prorace_detect_read_share_inflations_total", "FastTrack read-epoch to vector-clock (read-shared) transitions.").AddInt(inflations)
 }
 
-// publishShadow folds a pass's shadow-memory accounting into the registry
-// (for the sharded detector, st is the sum across stripes).
+// publishShadow folds a pass's shadow-memory accounting into the registry.
 func publishShadow(tel *telemetry.Registry, st ShadowStats) {
 	tel.Gauge("prorace_detect_shadow_variables", "Live shadow-table slots (distinct variables) after the detection pass.").Set(int64(st.Variables))
 	tel.Gauge("prorace_detect_shadow_bytes", "Resident shadow-state bytes (flat table + VC interner + provenance slabs).").Set(int64(st.Bytes()))
@@ -352,9 +342,9 @@ func (d *Detector) Publish(rs []Report) {
 	}
 }
 
-// Event is one entry of a thread's happens-before-consistent event stream:
+// event is one entry of a thread's happens-before-consistent event stream:
 // exactly one of Sync or Acc is set.
-type Event struct {
+type event struct {
 	TSC  uint64
 	Sync *tracefmt.SyncRecord
 	Acc  *replay.Access
@@ -387,7 +377,7 @@ func isAcquire(k tracefmt.SyncKind) bool {
 // mergePriority orders events at equal TSC across threads: releases first,
 // then neutral events (accesses, malloc/free), then acquires, so an HB edge
 // whose two sides collapsed onto one timestamp still flows the right way.
-func (e *Event) mergePriority() int {
+func (e *event) mergePriority() int {
 	if e.Sync != nil {
 		if isRelease(e.Sync.Kind) {
 			return 0
@@ -399,125 +389,45 @@ func (e *Event) mergePriority() int {
 	return 1
 }
 
-// threadMerger interleaves one thread's sync records and accesses into
-// program order, one event at a time. It is the single source of truth for
-// the within-thread order; ThreadStream materialises it, StreamThread
-// batches it into pooled chunks.
-type threadMerger struct {
-	sync   []tracefmt.SyncRecord
-	accs   []replay.Access
-	si, ai int
-}
-
-// newThreadMerger sorts the access slice in place (by TSC, then path step)
-// and positions the merger at the thread's first event.
-func newThreadMerger(sync []tracefmt.SyncRecord, accs []replay.Access) threadMerger {
+// threadStream builds one thread's events in program order: sync records
+// arrive in machine order; accesses are ordered by path step (or TSC when
+// unpinned). At equal TSC within a thread, acquires precede accesses and
+// accesses precede releases, keeping accesses inside their critical
+// sections. The access slice is sorted in place.
+func threadStream(sync []tracefmt.SyncRecord, accs []replay.Access) []event {
 	sort.SliceStable(accs, func(i, j int) bool {
 		if accs[i].TSC != accs[j].TSC {
 			return accs[i].TSC < accs[j].TSC
 		}
 		return accs[i].Step < accs[j].Step
 	})
-	return threadMerger{sync: sync, accs: accs}
-}
-
-func (m *threadMerger) remaining() int { return len(m.sync) - m.si + len(m.accs) - m.ai }
-
-// next returns the thread's next event; ok is false at end of stream. At
-// equal TSC, acquires precede accesses and accesses precede releases,
-// keeping accesses inside their critical sections.
-func (m *threadMerger) next() (Event, bool) {
-	si, ai := m.si, m.ai
-	if si == len(m.sync) && ai == len(m.accs) {
-		return Event{}, false
-	}
-	takeSync := false
-	switch {
-	case si == len(m.sync):
-		takeSync = false
-	case ai == len(m.accs):
-		takeSync = true
-	case m.sync[si].TSC < m.accs[ai].TSC:
-		takeSync = true
-	case m.sync[si].TSC > m.accs[ai].TSC:
-		takeSync = false
-	default: // tie: acquires first, releases last
-		takeSync = isAcquire(m.sync[si].Kind)
-	}
-	if takeSync {
-		m.si++
-		return Event{TSC: m.sync[si].TSC, Sync: &m.sync[si]}, true
-	}
-	m.ai++
-	return Event{TSC: m.accs[ai].TSC, Acc: &m.accs[ai]}, true
-}
-
-// ThreadStream builds one thread's events in program order: sync records
-// arrive in machine order; accesses are ordered by path step (or TSC when
-// unpinned). At equal TSC within a thread, acquires precede accesses and
-// accesses precede releases, keeping accesses inside their critical
-// sections. The access slice is sorted in place.
-func ThreadStream(sync []tracefmt.SyncRecord, accs []replay.Access) []Event {
-	m := newThreadMerger(sync, accs)
-	out := make([]Event, 0, m.remaining())
-	for {
-		ev, ok := m.next()
-		if !ok {
-			return out
+	out := make([]event, 0, len(sync)+len(accs))
+	si, ai := 0, 0
+	for si < len(sync) || ai < len(accs) {
+		var takeSync bool
+		switch {
+		case si == len(sync):
+			takeSync = false
+		case ai == len(accs):
+			takeSync = true
+		case sync[si].TSC != accs[ai].TSC:
+			takeSync = sync[si].TSC < accs[ai].TSC
+		default: // tie: acquires first, releases last
+			takeSync = isAcquire(sync[si].Kind)
 		}
-		out = append(out, ev)
-	}
-}
-
-// EventChunkSize is the fixed batch size of streamed event delivery: one
-// chunk is the unit handed from a per-thread producer to the k-way merger.
-const EventChunkSize = 512
-
-// eventChunks recycles the fixed-size batches that StreamThread emits and
-// FeedStreamsPooled consumes, so a streamed detection pass allocates a
-// handful of chunks total instead of one event slice per thread.
-var eventChunks = sync.Pool{
-	New: func() any { return make([]Event, 0, EventChunkSize) },
-}
-
-func getEventChunk() []Event { return eventChunks.Get().([]Event)[:0] }
-
-func putEventChunk(c []Event) {
-	if cap(c) >= EventChunkSize {
-		clear(c[:cap(c)])
-		eventChunks.Put(c[:0])
-	}
-}
-
-// StreamThread writes one thread's happens-before-consistent event stream
-// to ch as fixed-size batches drawn from the chunk pool, then closes ch.
-// The event order is exactly ThreadStream's; the access slice is sorted in
-// place. Consumers must hand each chunk back via FeedStreamsPooled (or
-// otherwise not retain it) once processed.
-func StreamThread(ch chan<- []Event, sync []tracefmt.SyncRecord, accs []replay.Access) {
-	m := newThreadMerger(sync, accs)
-	chunk := getEventChunk()
-	for {
-		ev, ok := m.next()
-		if !ok {
-			break
-		}
-		chunk = append(chunk, ev)
-		if len(chunk) == cap(chunk) {
-			ch <- chunk
-			chunk = getEventChunk()
+		if takeSync {
+			out = append(out, event{TSC: sync[si].TSC, Sync: &sync[si]})
+			si++
+		} else {
+			out = append(out, event{TSC: accs[ai].TSC, Acc: &accs[ai]})
+			ai++
 		}
 	}
-	if len(chunk) > 0 {
-		ch <- chunk
-	} else {
-		putEventChunk(chunk)
-	}
-	close(ch)
+	return out
 }
 
-// SyncByTID partitions sync records per thread, preserving machine order.
-func SyncByTID(sync []tracefmt.SyncRecord) map[int32][]tracefmt.SyncRecord {
+// syncByTID partitions sync records per thread, preserving machine order.
+func syncByTID(sync []tracefmt.SyncRecord) map[int32][]tracefmt.SyncRecord {
 	out := map[int32][]tracefmt.SyncRecord{}
 	for _, rec := range sync {
 		out[rec.TID] = append(out[rec.TID], rec)
@@ -526,22 +436,16 @@ func SyncByTID(sync []tracefmt.SyncRecord) map[int32][]tracefmt.SyncRecord {
 }
 
 // EventSink consumes the merged happens-before-consistent event stream.
-// Detector (FastTrack), DjitDetector (DJIT+) and ShardedDetector all
+// Detector (FastTrack), DjitDetector (DJIT+) and ReferenceDetector all
 // implement it, so one feed path drives every detector.
 type EventSink interface {
 	HandleSync(rec *tracefmt.SyncRecord)
 	HandleAccess(a *replay.Access)
 }
 
-// Checker is the EventSink interface under its former name.
-//
-// Deprecated: use EventSink.
-type Checker = EventSink
-
 // ReportSink is an EventSink that accumulates race reports. Finish must be
-// called after the last event and before Reports/RacyAddrSet; for the
-// sequential detectors it is a no-op, for ShardedDetector it drains the
-// shard workers and merges their findings deterministically.
+// called after the last event and before Reports/RacyAddrSet; the
+// FastTrack Detector publishes its telemetry there.
 type ReportSink interface {
 	EventSink
 	Finish()
@@ -559,35 +463,16 @@ func Detect(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access, opts
 	return d
 }
 
-// streamCursor walks one thread's event stream, either fully materialised
-// (buf only) or delivered incrementally as chunks on ch. With recycle set,
-// each exhausted chunk is returned to the chunk pool — only safe when the
-// producer drew its chunks from the pool (StreamThread), never for chunks
-// sliced out of a shared backing array.
+// streamCursor walks one thread's materialised event stream.
 type streamCursor struct {
-	buf     []Event
-	pos     int
-	ch      <-chan []Event
-	recycle bool
+	buf []event
+	pos int
 }
 
-// head returns the next event, blocking on the channel for the next chunk
-// when the buffer is exhausted; nil means the stream ended.
-func (c *streamCursor) head() *Event {
-	for c.pos >= len(c.buf) {
-		if c.recycle && c.buf != nil {
-			putEventChunk(c.buf)
-			c.buf = nil
-		}
-		if c.ch == nil {
-			return nil
-		}
-		chunk, ok := <-c.ch
-		if !ok {
-			c.ch = nil
-			return nil
-		}
-		c.buf, c.pos = chunk, 0
+// head returns the next event; nil means the stream ended.
+func (c *streamCursor) head() *event {
+	if c.pos >= len(c.buf) {
+		return nil
 	}
 	return &c.buf[c.pos]
 }
@@ -597,8 +482,7 @@ func (c *streamCursor) head() *Event {
 // deterministic for a given cursor order. Live cursors sit in a binary
 // min-heap keyed by their head events, so an event costs O(log k) in the
 // stream count rather than a scan of every cursor; a cursor leaves the heap
-// when its stream ends. Every heap entry has a buffered head, so only the
-// advanced cursor's head() can block on its channel.
+// when its stream ends.
 func mergeCursors(sink EventSink, cursors []*streamCursor) {
 	h := make([]mergeKey, 0, len(cursors))
 	for i, c := range cursors {
@@ -636,7 +520,7 @@ type mergeKey struct {
 	cur  int32
 }
 
-func keyOf(e *Event, cur int) mergeKey {
+func keyOf(e *event, cur int) mergeKey {
 	return mergeKey{tsc: e.TSC, prio: int32(e.mergePriority()), cur: int32(cur)}
 }
 
@@ -669,11 +553,12 @@ func siftDown(h []mergeKey, i int) {
 }
 
 // Feed merges the trace into happens-before-consistent order and drives
-// the sink with it.
+// the sink with it. Cursor order follows ascending thread id, keeping
+// tie-breaks deterministic.
 func Feed(sink EventSink, sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access) {
-	syncByTID := SyncByTID(sync)
+	byTID := syncByTID(sync)
 	tidSet := map[int32]bool{}
-	for tid := range syncByTID {
+	for tid := range byTID {
 		tidSet[tid] = true
 	}
 	for tid := range accesses {
@@ -687,38 +572,7 @@ func Feed(sink EventSink, sync []tracefmt.SyncRecord, accesses map[int32][]repla
 
 	cursors := make([]*streamCursor, len(tids))
 	for i, tid := range tids {
-		cursors[i] = &streamCursor{buf: ThreadStream(syncByTID[tid], accesses[tid])}
-	}
-	mergeCursors(sink, cursors)
-}
-
-// FeedStreams merges per-thread event streams arriving as ordered chunks
-// on channels and drives the sink with the global interleaving. The merge
-// blocks until every live stream has a buffered head, so producers should
-// emit chunks promptly; the resulting event order is identical to Feed over
-// the fully materialised streams. Cursor order follows ascending thread id,
-// keeping tie-breaks deterministic.
-func FeedStreams(sink EventSink, streams map[int32]<-chan []Event) {
-	feedStreams(sink, streams, false)
-}
-
-// FeedStreamsPooled is FeedStreams for producers that emit pool-drawn
-// chunks (StreamThread): each chunk is recycled into the chunk pool as soon
-// as the merge has consumed it. Chunks that alias a shared backing array
-// must go through FeedStreams instead.
-func FeedStreamsPooled(sink EventSink, streams map[int32]<-chan []Event) {
-	feedStreams(sink, streams, true)
-}
-
-func feedStreams(sink EventSink, streams map[int32]<-chan []Event, recycle bool) {
-	tids := make([]int32, 0, len(streams))
-	for tid := range streams {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	cursors := make([]*streamCursor, len(tids))
-	for i, tid := range tids {
-		cursors[i] = &streamCursor{ch: streams[tid], recycle: recycle}
+		cursors[i] = &streamCursor{buf: threadStream(byTID[tid], accesses[tid])}
 	}
 	mergeCursors(sink, cursors)
 }

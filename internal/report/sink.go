@@ -10,8 +10,8 @@ import (
 )
 
 // Sink is the one interface every consumer of finished race reports
-// implements: the detectors (race.Detector and race.ShardedDetector absorb
-// published reports into their deduplicated sets), the daemon's persistent
+// implements: the detector (race.Detector absorbs published reports into
+// its deduplicated set), the daemon's persistent
 // store (monitor.Store folds them into first-seen/last-seen/occurrence
 // records), and the CLI's Printer below. Before this interface the three
 // spoke different shapes — an event-level ReportSink, an ad-hoc store
@@ -24,11 +24,10 @@ type Sink interface {
 	Publish(rs []race.Report)
 }
 
-// The detectors satisfy Sink structurally (race cannot import report
-// without a cycle); keep them honest here.
+// The detector satisfies Sink structurally (race cannot import report
+// without a cycle); keep it honest here.
 var (
 	_ Sink = (*race.Detector)(nil)
-	_ Sink = (*race.ShardedDetector)(nil)
 	_ Sink = (*Printer)(nil)
 	_ Sink = (*Collector)(nil)
 )

@@ -11,7 +11,7 @@ import (
 // Start is relative to the registry's epoch, so a snapshot's spans are
 // directly comparable and render on a shared timeline. Track groups spans
 // into lanes (0 = the pipeline's top-level stages; per-thread work uses
-// 1+TID, per-shard work uses 1+shard).
+// 1+TID).
 type SpanEvent struct {
 	Name  string        `json:"name"`
 	Track int           `json:"track"`
@@ -77,7 +77,7 @@ type timelineFile struct {
 
 // WriteTimeline renders the completed spans as a chrome://tracing
 // trace-event JSON document. Tracks map to tids, so top-level stages and
-// per-thread/per-shard work appear as separate lanes.
+// per-thread work appear as separate lanes.
 func (r *Registry) WriteTimeline(w io.Writer) error {
 	var spans []SpanEvent
 	if r != nil {

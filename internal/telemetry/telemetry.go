@@ -20,9 +20,8 @@
 // pipeline is: for a given (program, seed) the prorace_driver_*,
 // prorace_ptdecode_*, prorace_synthesis_*, prorace_replay_* and
 // prorace_detect_*_total series are reproducible bit-for-bit across
-// Workers/DetectShards/path-cache configurations. Span durations and the
-// prorace_detect_queue_depth histogram measure wall-clock scheduling and
-// are inherently non-deterministic.
+// Workers/path-cache configurations. Span durations and the stage-latency
+// histograms measure wall clock and are inherently non-deterministic.
 //
 // # Mapping from the scattered result counters
 //
@@ -305,8 +304,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // Label renders a single-label metric name, e.g.
-// Label("prorace_detect_shard_events_total", "shard", 3) →
-// `prorace_detect_shard_events_total{shard="3"}`. The registry keys
+// Label("prorace_example_events_total", "thread", 3) →
+// `prorace_example_events_total{thread="3"}`. The registry keys
 // labelled series by the rendered name, so each label value is its own
 // metric handle.
 func Label(name, key string, value int) string {

@@ -10,16 +10,15 @@ package prorace
 //		prorace.WithPeriod(1000),
 //		prorace.WithSeed(7),
 //		prorace.WithWorkers(-1),
-//		prorace.WithDetectShards(8),
 //	)
 //
 // NewOptions expands an option list over the standard ProRace defaults
 // (redesigned driver, PT enabled, period 10000, full forward+backward
 // reconstruction); TraceWith / AnalyzeWith / RunWith apply it in one call.
 //
-// Performance options never change results: WithWorkers, WithDetectShards,
-// WithDetectWorkers, WithShadowTable, WithPathCache and WithoutPathCache
-// all produce byte-identical race reports for a given trace (see the
+// Performance options never change results: WithWorkers, WithShadowTable,
+// WithPathCache and WithoutPathCache all produce byte-identical race
+// reports for a given trace (see the
 // package's Determinism section; the guarantee is enforced by
 // internal/oracle's metamorphic matrix).
 
@@ -97,26 +96,10 @@ func WithReplayMode(m ReplayMode) Option {
 }
 
 // WithWorkers fans PT decoding and replay reconstruction out across a
-// worker pool, streaming each thread into detection as it completes:
+// worker pool, one thread at a time; detection stays sequential:
 // 0 = sequential, negative = GOMAXPROCS, n > 0 = n workers.
 func WithWorkers(n int) Option {
 	return func(_ *TraceOptions, a *AnalysisOptions) { a.Workers = n }
-}
-
-// WithDetectShards partitions detection state across shard workers by
-// address hash: 0 or 1 = sequential FastTrack, negative = GOMAXPROCS,
-// n > 1 = n shards. The reported race set is identical at any count.
-func WithDetectShards(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DetectShards = n }
-}
-
-// WithDetectWorkers bounds the goroutines multiplexing the detection
-// shards. Shards are CAS-claimed stripes, not goroutine-owned, so N
-// shards can share M < N workers: 0 (the default) runs one worker per
-// shard up to GOMAXPROCS. Ignored without WithDetectShards. The reported
-// race set is identical at any worker count.
-func WithDetectWorkers(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DetectWorkers = n }
 }
 
 // WithShadowTable pre-sizes the detector's flat shadow table for the
@@ -203,15 +186,6 @@ func WithMetricsAddr(addr string) Option {
 		t.MetricsAddr = addr
 		a.MetricsAddr = addr
 	}
-}
-
-// WithSegmentSize routes the analysis through the segment-resumable
-// session layer, feeding the trace in chunks of at most n serialised bytes
-// (AnalysisOptions.SegmentSize). Results are byte-identical to the
-// whole-trace default; the option exists to exercise — and measure — the
-// exact path streamed ingest (cmd/proraced) uses.
-func WithSegmentSize(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.SegmentSize = n }
 }
 
 // WithWitnesses asks the offline phase to attach a deterministic

@@ -24,10 +24,9 @@
 //	fmt.Print(prorace.FormatRaces(w.Program, res.AnalysisResult.Reports))
 //
 // The pipeline is configured with functional options (options.go):
-// WithPeriod, WithSeed, WithReplayMode, WithWorkers, WithDetectShards and
-// friends; WithWorkers fans the offline phase out across a worker pool and
-// WithDetectShards runs address-sharded parallel FastTrack detection with
-// race reports identical to the sequential detector.
+// WithPeriod, WithSeed, WithReplayMode, WithWorkers and friends;
+// WithWorkers fans PT decoding and reconstruction out across a worker pool
+// with race reports identical to the sequential analysis.
 //
 // Custom programs are assembled with NewProgram (see the builder aliases
 // below) and run through the same pipeline; examples/ contains three
@@ -41,8 +40,8 @@
 //   - online: a (program, seed) pair reproduces the traced execution
 //     exactly — same interleaving, same samples, same trace bytes;
 //   - offline: for a given trace, the reported race set is byte-identical
-//     across every performance configuration — any WithWorkers count, any
-//     WithDetectShards count, path cache on or off — and WithStrict equals
+//     across every performance configuration — any WithWorkers count,
+//     path cache on or off — and WithStrict equals
 //     the lenient default whenever the trace decodes cleanly.
 //
 // internal/oracle checks these invariants differentially: it generates
@@ -188,8 +187,7 @@ func Trace(p *Program, opts TraceOptions) (*TraceResult, error) {
 // a thin wrapper over a single-segment Analyzer session — the same code
 // path streamed ingest takes — sequential by default; set
 // AnalysisOptions.Workers (or WithWorkers) to fan synthesis and
-// reconstruction out across a worker pool, and AnalysisOptions.DetectShards
-// (or WithDetectShards) to run address-sharded parallel detection.
+// reconstruction out across a worker pool.
 func Analyze(p *Program, tr *TraceResult, opts AnalysisOptions) (*AnalysisResult, error) {
 	a, err := core.NewAnalyzer(p, opts)
 	if err != nil {
@@ -205,8 +203,7 @@ func Analyze(p *Program, tr *TraceResult, opts AnalysisOptions) (*AnalysisResult
 // program: Feed it the run's trace in segments as they arrive (any cut
 // points — see TraceSegment), read intermediate results with Snapshot, and
 // seal it with Finish. The reports are byte-identical to one-shot Analyze
-// over the concatenated trace at every Workers/DetectShards/path-cache
-// configuration.
+// over the concatenated trace at every Workers/path-cache configuration.
 func NewAnalyzer(p *Program, opts AnalysisOptions) (*Analyzer, error) {
 	return core.NewAnalyzer(p, opts)
 }

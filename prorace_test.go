@@ -148,7 +148,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 	if topts.Kind != ProRaceDriver || !topts.EnablePT || topts.Period != 10000 || topts.Seed != 1 {
 		t.Errorf("trace defaults wrong: %+v", topts)
 	}
-	if aopts.Mode != ReplayForwardBackward || aopts.Workers != 0 || aopts.DetectShards != 0 {
+	if aopts.Mode != ReplayForwardBackward || aopts.Workers != 0 {
 		t.Errorf("analysis defaults wrong: %+v", aopts)
 	}
 
@@ -164,7 +164,6 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 		WithoutRandomFirstPeriod(),
 		WithReplayMode(ReplayForward),
 		WithWorkers(4),
-		WithDetectShards(8),
 		WithMaxReports(17),
 		WithoutMemoryEmulation(),
 		WithoutRaceFeedback(),
@@ -175,7 +174,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 		!topts.MeasureOverhead || !topts.DisableRandomFirstPeriod {
 		t.Errorf("trace options wrong: %+v", topts)
 	}
-	if aopts.Mode != ReplayForward || aopts.Workers != 4 || aopts.DetectShards != 8 ||
+	if aopts.Mode != ReplayForward || aopts.Workers != 4 ||
 		aopts.MaxReports != 17 || !aopts.DisableMemoryEmulation ||
 		!aopts.DisableRaceFeedback || !aopts.DisableAllocationTracking {
 		t.Errorf("analysis options wrong: %+v", aopts)
@@ -187,7 +186,6 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 		WithPeriod(1000),
 		WithSeed(42),
 		WithWorkers(-1),
-		WithDetectShards(4),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +193,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 	if res.AnalysisResult.ReplayStats.Total() == 0 {
 		t.Fatal("parallel RunWith produced nothing")
 	}
-	if res.AnalysisResult.Workers < 1 || res.AnalysisResult.DetectShards != 4 {
+	if res.AnalysisResult.Workers < 1 {
 		t.Errorf("resolved parallelism not recorded: %+v", res.AnalysisResult)
 	}
 
@@ -204,7 +202,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := AnalyzeWith(w.Program, tr, WithDetectShards(2))
+	ar, err := AnalyzeWith(w.Program, tr, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

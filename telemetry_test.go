@@ -64,7 +64,7 @@ func TestTelemetryLiveScrape(t *testing.T) {
 				WithMachine(w.Machine),
 				WithPeriod(500),
 				WithSeed(int64(trial+1)),
-				WithDetectShards(2),
+				WithWorkers(2),
 				WithTelemetry(reg),
 			)
 		}
@@ -151,10 +151,12 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 // TestTelemetryDeterministic: the pipeline-derived counters are identical
 // across repeated runs of one (program, seed) and across performance
 // configurations, once the wall-clock series (histograms, spans) and the
-// scheduling-dependent queue depth are excluded. The path cache is off so
-// every run publishes the full decode series (a cache hit honestly
-// publishes only the hit counter — that asymmetry is the documented
-// cache-hit semantics, not nondeterminism).
+// pathState pool's recycle tally are excluded: sync.Pool may drop items
+// (at random under the race detector), so that tally is allocation
+// behaviour, not pipeline output. The path cache is off so every run
+// publishes the full decode series (a cache hit honestly publishes only
+// the hit counter — that asymmetry is the documented cache-hit
+// semantics, not nondeterminism).
 func TestTelemetryDeterministic(t *testing.T) {
 	w := MustWorkload("pfscan", 1)
 	counters := func(opts ...Option) map[string]uint64 {
@@ -165,14 +167,16 @@ func TestTelemetryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reg.Snapshot().Counters
+		out := reg.Snapshot().Counters
+		delete(out, "prorace_replay_pool_recycles_total")
+		return out
 	}
 	base := counters()
 	again := counters()
 	if !reflect.DeepEqual(base, again) {
 		t.Errorf("same-config counters differ:\n%v\nvs\n%v", base, again)
 	}
-	sharded := counters(WithDetectShards(4))
+	parallel := counters(WithWorkers(4))
 	for _, name := range []string{
 		"prorace_driver_samples_emitted_total",
 		"prorace_ptdecode_packets_total",
@@ -181,8 +185,8 @@ func TestTelemetryDeterministic(t *testing.T) {
 		"prorace_detect_read_share_inflations_total",
 		"prorace_detect_reports_total",
 	} {
-		if base[name] != sharded[name] {
-			t.Errorf("%s: sequential %d vs sharded %d", name, base[name], sharded[name])
+		if base[name] != parallel[name] {
+			t.Errorf("%s: sequential %d vs 4 workers %d", name, base[name], parallel[name])
 		}
 	}
 }
@@ -219,10 +223,15 @@ func TestTelemetryTimelineArtifact(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"trace", "analyze", "decode+synthesis", "reconstruct+detect"} {
+	// One pipeline at every worker count: reconstruction and detection are
+	// separate, consecutive stages.
+	for _, want := range []string{"trace", "analyze", "decode+synthesis", "reconstruct", "detect"} {
 		if !names[want] {
 			t.Errorf("timeline missing stage span %q (have %v)", want, sorted(names))
 		}
+	}
+	if names["reconstruct+detect"] {
+		t.Error("reconstruction and detection share one span; want separate stages")
 	}
 	// The workers=2 pass adds per-thread reconstruction lanes.
 	lanes := 0
