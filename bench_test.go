@@ -243,7 +243,7 @@ func BenchmarkAblationRandomPhase(b *testing.B) {
 					core.TraceOptions{Kind: driver.ProRace, Period: 1000, Seed: seed,
 						EnablePT: true, Machine: built.Workload.Machine,
 						DisableRandomFirstPeriod: disable},
-					core.AnalysisOptions{Mode: replay.ModeForwardBackward})
+					core.AnalysisOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -268,12 +268,11 @@ func BenchmarkAblationMemoryEmulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		with, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{Mode: replay.ModeForwardBackward})
+		with, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{
-			Mode: replay.ModeForwardBackward, DisableMemoryEmulation: true})
+		without, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{DisableMemoryEmulation: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,13 +291,13 @@ func BenchmarkAblationAllocationTracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		with, err := core.Run(p,
 			core.TraceOptions{Kind: driver.ProRace, Period: 50, Seed: 2, EnablePT: true},
-			core.AnalysisOptions{Mode: replay.ModeForwardBackward})
+			core.AnalysisOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		without, err := core.Run(p,
 			core.TraceOptions{Kind: driver.ProRace, Period: 50, Seed: 2, EnablePT: true},
-			core.AnalysisOptions{Mode: replay.ModeForwardBackward, DisableAllocationTracking: true})
+			core.AnalysisOptions{DisableAllocationTracking: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,7 +452,7 @@ func BenchmarkReplayForwardBackward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := replay.NewEngine(w.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	engine := replay.NewEngine(w.Program, replay.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, st := engine.ReconstructAll(tts)
@@ -476,7 +475,7 @@ func BenchmarkFastTrackDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := replay.NewEngine(w.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	engine := replay.NewEngine(w.Program, replay.Config{})
 	accesses, _ := engine.ReconstructAll(tts)
 	n := 0
 	for _, a := range accesses {
@@ -530,7 +529,8 @@ func BenchmarkRelatedWork(b *testing.B) {
 
 // BenchmarkParallelAnalysis measures the §7.6 parallelisation of the
 // offline phase: sequential vs worker-pool decode+reconstruction on the
-// 20-thread mysql trace.
+// 20-thread mysql trace. Each sub-benchmark has its own decoded-path
+// cache, so iterations past the first hit it, as in -exp perf.
 func BenchmarkParallelAnalysis(b *testing.B) {
 	w := workload.MySQL(1)
 	tr, err := core.TraceProgram(w.Program, core.TraceOptions{
@@ -540,6 +540,7 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 	}
 	run := func(opts core.AnalysisOptions) func(*testing.B) {
 		return func(b *testing.B) {
+			opts.PathCache = synthesis.NewCache(synthesis.DefaultCacheCapacity)
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Analyze(w.Program, tr.Trace, opts); err != nil {
 					b.Fatal(err)
@@ -547,12 +548,13 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", run(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
-	b.Run("workers", run(core.AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: -1}))
+	b.Run("sequential", run(core.AnalysisOptions{}))
+	b.Run("workers", run(core.AnalysisOptions{Workers: -1}))
 }
 
 // benchAnalyzeTelemetry is the shared body of the telemetry cost pair:
-// one full analysis per iteration over a fixed mysql trace.
+// one full analysis per iteration over a fixed mysql trace, with its own
+// decoded-path cache as in -exp perf.
 func benchAnalyzeTelemetry(b *testing.B, opts core.AnalysisOptions) {
 	w := workload.MySQL(1)
 	tr, err := core.TraceProgram(w.Program, core.TraceOptions{
@@ -560,6 +562,7 @@ func benchAnalyzeTelemetry(b *testing.B, opts core.AnalysisOptions) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts.PathCache = synthesis.NewCache(synthesis.DefaultCacheCapacity)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -576,15 +579,14 @@ func benchAnalyzeTelemetry(b *testing.B, opts core.AnalysisOptions) {
 // price the observability; cmd/experiments -exp perf records the pair to
 // the BENCH json artifact.
 func BenchmarkAnalyzeTelemetryOff(b *testing.B) {
-	benchAnalyzeTelemetry(b, core.AnalysisOptions{Mode: replay.ModeForwardBackward})
+	benchAnalyzeTelemetry(b, core.AnalysisOptions{})
 }
 
 // BenchmarkAnalyzeTelemetryOn runs the same analysis publishing into a
 // live registry: per-thread counter batches, stage spans, and one snapshot
 // per analysis.
 func BenchmarkAnalyzeTelemetryOn(b *testing.B) {
-	benchAnalyzeTelemetry(b, core.AnalysisOptions{
-		Mode: replay.ModeForwardBackward, Telemetry: telemetry.New()})
+	benchAnalyzeTelemetry(b, core.AnalysisOptions{Telemetry: telemetry.New()})
 }
 
 // BenchmarkDetection measures the detect phase alone: sequential FastTrack
@@ -600,7 +602,7 @@ func BenchmarkDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := replay.NewEngine(w.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	engine := replay.NewEngine(w.Program, replay.Config{})
 	accesses, _ := engine.ReconstructAll(tts)
 	n := 0
 	for _, a := range accesses {
@@ -627,7 +629,7 @@ func BenchmarkDetectorFastTrackVsDjit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := replay.NewEngine(w.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	engine := replay.NewEngine(w.Program, replay.Config{})
 	accesses, _ := engine.ReconstructAll(tts)
 	b.Run("fasttrack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

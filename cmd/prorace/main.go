@@ -300,7 +300,7 @@ func cmdRun(args []string) error {
 	witnessed := map[[2]uint64]bool{}
 	for trial := 0; trial < *trials; trial++ {
 		seed := c.seed + int64(trial)*7919
-		res, err := prorace.RunWith(w.Program, append(opts, prorace.WithSeed(seed))...)
+		res, err := prorace.Run(w.Program, append(opts, prorace.WithSeed(seed))...)
 		if err != nil {
 			return err
 		}
@@ -389,7 +389,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := prorace.TraceWith(w.Program, opts...)
+	res, err := prorace.Trace(w.Program, opts...)
 	if err != nil {
 		return err
 	}
@@ -456,7 +456,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer stopProf()
-	ar, err := prorace.AnalyzeWith(w.Program, &prorace.TraceResult{Trace: tr}, opts...)
+	ar, err := prorace.Analyze(w.Program, &prorace.TraceResult{Trace: tr}, opts...)
 	if err != nil {
 		return err
 	}

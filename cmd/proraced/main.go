@@ -1,7 +1,9 @@
 // Command proraced is the continuous fleet-monitoring daemon: it ingests
 // PRSG-framed trace segments from many tenants over HTTP, re-analyses each
 // tenant's rolling window incrementally on the segment-resumable analysis
-// API, and maintains a persistent deduplicating race-report store.
+// API, and maintains a persistent deduplicating race-report store. Each
+// round runs full ProRace (forward+backward reconstruction with the §5.1
+// feedback), the same analysis as `prorace analyze`.
 //
 //	proraced serve -listen :7077 -store /var/lib/proraced/reports.json \
 //	    -wal /var/lib/proraced/wal -fsync always
@@ -128,7 +130,8 @@ func cmdServe(args []string) error {
 		MaxBodyBytes: *maxBody,
 		LineageDepth: *lineageDepth,
 		// Strict stays false: a degraded window is a tenant problem, not a
-		// daemon problem.
+		// daemon problem. Every other option keeps its zero value, which
+		// is full ProRace.
 		Analysis:  core.AnalysisOptions{Workers: *analysisWorkers},
 		Telemetry: reg,
 		Alert: monitor.AlertConfig{

@@ -11,9 +11,7 @@ import (
 // inspect what was reconstructed.
 func Example() {
 	w := prorace.MustWorkload("apache", 1)
-	res, err := prorace.Run(w.Program,
-		prorace.ProRaceTraceOptions(10000, 1, w.Machine),
-		prorace.DefaultAnalysisOptions())
+	res, err := prorace.Run(w.Program, prorace.WithMachine(w.Machine))
 	if err != nil {
 		panic(err)
 	}

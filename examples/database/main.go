@@ -23,7 +23,7 @@ func main() {
 	fmt.Println("period    overhead   samples   trace MB/s   within 10% budget?")
 	var chosen uint64
 	for _, period := range []uint64{100000, 10000, 1000, 100, 10} {
-		tr, err := prorace.TraceWith(w.Program,
+		tr, err := prorace.Trace(w.Program,
 			prorace.WithMachine(w.Machine),
 			prorace.WithPeriod(period),
 			prorace.WithSeed(7),
@@ -42,8 +42,9 @@ func main() {
 	fmt.Printf("\nchosen production period: %d\n\n", chosen)
 
 	// Offline: one full analysis at the chosen period, with the three
-	// reconstruction modes compared (the paper's Figure 11 view).
-	tr, err := prorace.TraceWith(w.Program,
+	// reconstruction modes compared (the paper's Figure 11 view). The
+	// three analyses share one path cache, so the trace is decoded once.
+	tr, err := prorace.Trace(w.Program,
 		prorace.WithMachine(w.Machine),
 		prorace.WithPeriod(chosen),
 		prorace.WithSeed(7),
@@ -51,10 +52,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cache := prorace.NewPathCache(1)
 	for _, mode := range []prorace.ReplayMode{
 		prorace.ReplayBasicBlock, prorace.ReplayForward, prorace.ReplayForwardBackward,
 	} {
-		ar, err := prorace.AnalyzeWith(w.Program, tr, prorace.WithReplayMode(mode))
+		ar, err := prorace.Analyze(w.Program, tr, prorace.WithReplayMode(mode), prorace.WithPathCache(cache))
 		if err != nil {
 			log.Fatal(err)
 		}

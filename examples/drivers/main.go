@@ -27,7 +27,7 @@ func main() {
 				prorace.WithSeed(11),
 				prorace.WithOverheadMeasurement(),
 			}, extra...)
-			tr, err := prorace.TraceWith(w.Program, opts...)
+			tr, err := prorace.Trace(w.Program, opts...)
 			if err != nil {
 				log.Fatal(err)
 			}

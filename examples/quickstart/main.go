@@ -70,7 +70,7 @@ func main() {
 
 	// Online: trace a production-like run at sampling period 1000 with the
 	// ProRace driver, measuring the overhead against an untraced run.
-	tr, err := prorace.TraceWith(p,
+	tr, err := prorace.Trace(p,
 		prorace.WithMachine(prorace.MachineConfig{Cores: 4}),
 		prorace.WithPeriod(1000),
 		prorace.WithSeed(42),
@@ -85,7 +85,7 @@ func main() {
 		tr.Trace.SampleCount(), tr.Trace.TotalBytes(), len(tr.Trace.Sync))
 
 	// Offline: decode PT, reconstruct unsampled accesses, run FastTrack.
-	ar, err := prorace.AnalyzeWith(p, tr)
+	ar, err := prorace.Analyze(p, tr)
 	if err != nil {
 		log.Fatal(err)
 	}

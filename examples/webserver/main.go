@@ -34,7 +34,7 @@ func main() {
 
 	for seed := int64(1); seed <= traces; seed++ {
 		// ProRace: redesigned driver + PT, forward/backward reconstruction.
-		tr, err := prorace.TraceWith(p,
+		tr, err := prorace.Trace(p,
 			prorace.WithMachine(built.Workload.Machine),
 			prorace.WithPeriod(period),
 			prorace.WithSeed(seed),
@@ -44,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 		overheadSum += tr.Overhead
-		ar, err := prorace.AnalyzeWith(p, tr)
+		ar, err := prorace.Analyze(p, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,10 +53,16 @@ func main() {
 			detectedPro++
 		}
 
-		// RaceZ baseline on the same schedule seed.
+		// RaceZ baseline on the same schedule seed: the stock driver, no
+		// PT, and basic-block reconstruction.
 		rz, err := prorace.Run(p,
-			prorace.RaceZTraceOptions(period, seed, built.Workload.Machine),
-			prorace.RaceZAnalysisOptions())
+			prorace.WithMachine(built.Workload.Machine),
+			prorace.WithPeriod(period),
+			prorace.WithSeed(seed),
+			prorace.WithDriver(prorace.VanillaDriver),
+			prorace.WithoutPT(),
+			prorace.WithReplayMode(prorace.ReplayBasicBlock),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"prorace/internal/bugs"
 	"prorace/internal/core"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
+	"prorace/internal/racez"
 )
 
 func TestAllBugsBuildAndValidate(t *testing.T) {
@@ -59,16 +59,12 @@ func TestByID(t *testing.T) {
 // race was detected.
 func runOnce(t *testing.T, built *bugs.Built, period uint64, seed int64, prorace bool) bool {
 	t.Helper()
-	var topts core.TraceOptions
-	var aopts core.AnalysisOptions
+	topts := racez.TraceOptions(period, seed, built.Workload.Machine)
+	aopts := racez.AnalysisOptions()
 	if prorace {
 		topts = core.TraceOptions{Kind: driver.ProRace, Period: period, Seed: seed,
 			EnablePT: true, Machine: built.Workload.Machine}
-		aopts = core.AnalysisOptions{Mode: replay.ModeForwardBackward}
-	} else {
-		topts = core.TraceOptions{Kind: driver.Vanilla, Period: period, Seed: seed,
-			Machine: built.Workload.Machine}
-		aopts = core.AnalysisOptions{Mode: replay.ModeBasicBlock}
+		aopts = core.AnalysisOptions{}
 	}
 	res, err := core.Run(built.Workload.Program, topts, aopts)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"prorace/internal/bugs"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
 	"prorace/internal/synthesis"
 )
 
@@ -50,11 +49,7 @@ func mustMatch(t *testing.T, label string, want, got *AnalysisResult) {
 
 func TestPathCacheHitMatchesFreshDecode(t *testing.T) {
 	built, tr := racyTrace(t)
-	opts := AnalysisOptions{Mode: replay.ModeForwardBackward}
-
-	noCache := opts
-	noCache.DisablePathCache = true
-	fresh, err := Analyze(built.Workload.Program, tr.Trace, noCache)
+	fresh, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +60,7 @@ func TestPathCacheHitMatchesFreshDecode(t *testing.T) {
 		t.Fatal("workload did not trigger §5.1 regeneration; pick a denser trace")
 	}
 
-	cached := opts
-	cached.PathCache = synthesis.NewCache(2)
+	cached := AnalysisOptions{PathCache: synthesis.NewCache(2)}
 	first, err := Analyze(built.Workload.Program, tr.Trace, cached)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +94,7 @@ func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 	}
 	built, tr := racyTrace(t)
 
-	noCache := AnalysisOptions{Mode: replay.ModeForwardBackward, DisablePathCache: true}
-	want, err := Analyze(built.Workload.Program, tr.Trace, noCache)
+	want, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +104,7 @@ func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 
 	cache := synthesis.NewCache(2)
 	for _, workers := range []int{0, 1, 4, 7} {
-		opts := AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers, PathCache: cache}
+		opts := AnalysisOptions{Workers: workers, PathCache: cache}
 		got, err := Analyze(built.Workload.Program, tr.Trace, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -121,7 +114,6 @@ func TestPathCacheEquivalenceAcrossParallelism(t *testing.T) {
 
 		off := opts
 		off.PathCache = nil
-		off.DisablePathCache = true
 		cold, err := Analyze(built.Workload.Program, tr.Trace, off)
 		if err != nil {
 			t.Fatalf("workers=%d uncached: %v", workers, err)
@@ -171,7 +163,7 @@ func TestPathCacheSkipsDegradedSynthesis(t *testing.T) {
 	}
 
 	cache := synthesis.NewCache(2)
-	opts := AnalysisOptions{Mode: replay.ModeForwardBackward, PathCache: cache}
+	opts := AnalysisOptions{PathCache: cache}
 	first, err := Analyze(built.Workload.Program, tr.Trace, opts)
 	if err != nil {
 		t.Fatal(err)

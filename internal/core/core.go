@@ -29,7 +29,9 @@ import (
 	"prorace/internal/witness"
 )
 
-// TraceOptions configures the online phase.
+// TraceOptions configures the online phase. Unlike AnalysisOptions, its
+// zero value is not ProRace: it selects the vanilla driver with PT off
+// (the root package's options resolve the ProRace trace defaults).
 type TraceOptions struct {
 	// Kind selects the PEBS driver model (ProRace or Vanilla).
 	Kind driver.Kind
@@ -140,7 +142,9 @@ func TraceProgram(p *prog.Program, opts TraceOptions) (*TraceResult, error) {
 	return res, nil
 }
 
-// AnalysisOptions configures the offline phase.
+// AnalysisOptions configures the offline phase. The zero value is full
+// ProRace: forward+backward reconstruction with memory emulation, §5.1
+// race feedback and allocation tracking, sequential and lenient.
 type AnalysisOptions struct {
 	// Mode selects the reconstruction algorithm (default ForwardBackward —
 	// full ProRace).
@@ -185,15 +189,11 @@ type AnalysisOptions struct {
 	// large default). Lenient analyses of heavily corrupted streams use it
 	// to keep resynced walks from wandering for millions of steps.
 	DecodeMaxSteps int
-	// PathCache overrides the decoded-path cache consulted before PT
-	// decode + synthesis. nil selects a process-wide shared cache; set
-	// DisablePathCache to opt out of memoization entirely. Cached entries
-	// are keyed by (program, trace content fingerprint, decode options),
-	// so a hit is byte-equivalent to a fresh decode.
+	// PathCache memoizes PT decode + synthesis across analyses that share
+	// it; nil decodes every analysis afresh. Cached entries are keyed by
+	// (program, trace content fingerprint, decode options), so a hit is
+	// byte-equivalent to a fresh decode.
 	PathCache *synthesis.Cache
-	// DisablePathCache turns off decoded-path memoization (ablation /
-	// memory-constrained callers).
-	DisablePathCache bool
 	// Telemetry receives the offline phase's metric series and stage
 	// spans, and its snapshot is attached to AnalysisResult.Telemetry.
 	// Nil falls back to the process-wide default registry (nil unless a
@@ -287,22 +287,6 @@ func workerCount(n int) int {
 	return n
 }
 
-// defaultPathCache is the process-wide decoded-path cache used when
-// AnalysisOptions names no explicit one. Bounded small: entries hold
-// decoded paths, the dominant per-trace memory cost.
-var defaultPathCache = synthesis.NewCache(synthesis.DefaultCacheCapacity)
-
-// pathCacheFor resolves the cache knobs: nil means memoization is off.
-func pathCacheFor(opts *AnalysisOptions) *synthesis.Cache {
-	if opts.DisablePathCache {
-		return nil
-	}
-	if opts.PathCache != nil {
-		return opts.PathCache
-	}
-	return defaultPathCache
-}
-
 // Analyze runs the offline phase over a collected trace, as one pipeline
 // at every Workers count: synthesis and reconstruction fan out per thread,
 // then one sequential FastTrack pass detects, then the §5.1 feedback runs.
@@ -332,20 +316,12 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 		return nil, sanErr
 	}
 
-	if workers > 1 {
-		// Pre-warm the program's lazily built indexes (basic blocks,
-		// function table) so concurrent readers never race on their
-		// initialisation.
-		p.Blocks()
-		p.FuncContaining(p.Entry)
-	}
-
 	t0 := time.Now()
 	spanDecode := tel.StartSpan("decode+synthesis")
 	var tts map[int32]*synthesis.ThreadTrace
 	var err error
 	sopts := synthesis.Options{Lenient: !opts.Strict, MaxSteps: opts.DecodeMaxSteps}
-	cache := pathCacheFor(&opts)
+	cache := opts.PathCache
 	var ckey synthesis.CacheKey
 	if cache != nil {
 		// Content-keyed, so a mutated copy (fault injection, salvage)

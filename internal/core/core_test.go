@@ -63,7 +63,7 @@ func TestAnalyzeTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRaceFeedbackRegeneration(t *testing.T) {
 		res, err := Run(built.Workload.Program,
 			TraceOptions{Kind: driver.ProRace, Period: 1000, Seed: seed,
 				EnablePT: true, Machine: built.Workload.Machine},
-			AnalysisOptions{Mode: replay.ModeForwardBackward})
+			AnalysisOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRaceFeedbackCanBeDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{
-		Mode: replay.ModeForwardBackward, DisableRaceFeedback: true,
+		DisableRaceFeedback: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestRunPipelineEndToEnd(t *testing.T) {
 	res, err := Run(w.Program,
 		TraceOptions{Kind: driver.ProRace, Period: 500, Seed: 9, EnablePT: true,
 			MeasureOverhead: true, Machine: w.Machine},
-		AnalysisOptions{Mode: replay.ModeForwardBackward})
+		AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

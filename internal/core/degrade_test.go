@@ -10,7 +10,6 @@ import (
 	"prorace/internal/bugs"
 	"prorace/internal/faultinject"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
 	"prorace/internal/tracefmt"
 )
 
@@ -173,7 +172,7 @@ func TestStrictLenientIdenticalOnCleanTrace(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, -1} {
-		opts := AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers}
+		opts := AnalysisOptions{Workers: workers}
 		strictOpts := opts
 		strictOpts.Strict = true
 		lenient, err := Analyze(built.Workload.Program, tr.Trace, opts)
@@ -222,12 +221,12 @@ func TestStrictAbortsOnCorruptPT(t *testing.T) {
 	}
 	spec := &faultinject.Spec{Seed: 11, Faults: []faultinject.Fault{{Kind: faultinject.PTFlip, Rate: 0.2}}}
 
-	strict := AnalysisOptions{Mode: replay.ModeForwardBackward, Strict: true, FaultSpec: spec}
+	strict := AnalysisOptions{Strict: true, FaultSpec: spec}
 	if _, err := Analyze(built.Workload.Program, tr.Trace, strict); err == nil {
 		t.Fatal("strict analysis of heavily corrupted PT succeeded")
 	}
 
-	lenient := AnalysisOptions{Mode: replay.ModeForwardBackward, FaultSpec: spec, DecodeMaxSteps: 1 << 20}
+	lenient := AnalysisOptions{FaultSpec: spec, DecodeMaxSteps: 1 << 20}
 	res, err := Analyze(built.Workload.Program, tr.Trace, lenient)
 	if err != nil {
 		t.Fatalf("lenient analysis failed outright: %v", err)
@@ -267,7 +266,7 @@ func TestFaultMatrix(t *testing.T) {
 				// matrix checks survival and accounting, not recall (the
 				// faults experiment measures recall with a full budget).
 				res, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{
-					Mode: replay.ModeForwardBackward, FaultSpec: spec, DecodeMaxSteps: 1 << 15,
+					FaultSpec: spec, DecodeMaxSteps: 1 << 15,
 				})
 				if err != nil {
 					t.Fatalf("%s: lenient analysis errored: %v", name, err)

@@ -54,7 +54,7 @@ func checkMatchesFullRegeneration(t *testing.T, name string, p *prog.Program, tr
 	var last *AnalysisResult
 	cache := synthesis.NewCache(1) // decode once for both worker counts
 	for _, workers := range []int{1, 4} {
-		got, err := Analyze(p, tr, AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers, PathCache: cache})
+		got, err := Analyze(p, tr, AnalysisOptions{Workers: workers, PathCache: cache})
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", name, workers, err)
 		}
@@ -172,7 +172,7 @@ func TestFeedbackRerunChangesAccesses(t *testing.T) {
 	if !want.regenerated {
 		t.Fatal("feedback did not regenerate")
 	}
-	first, err := Analyze(p, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward, DisableRaceFeedback: true})
+	first, err := Analyze(p, tr.Trace, AnalysisOptions{DisableRaceFeedback: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"prorace/internal/bugs"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
 	"prorace/internal/workload"
 )
 
@@ -24,7 +23,7 @@ func TestParallelAnalysisMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := AnalysisOptions{Mode: replay.ModeForwardBackward}
+	opts := AnalysisOptions{}
 	seq, err := Analyze(built.Workload.Program, tr.Trace, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +99,12 @@ func TestAnalyzeWorkersMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	seq, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, -1} {
-		got, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: workers})
+		got, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func TestParallelAnalysisDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: -1})
+	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

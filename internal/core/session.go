@@ -29,8 +29,8 @@ import (
 //     for why mid-stream detector carry-over cannot be byte-faithful);
 //   - the resolved telemetry registry and metrics listener, resolved once
 //     at session creation and reused by every analysis round;
-//   - the decoded-path cache named in the options (or the process-wide
-//     default), so repeated rounds over overlapping content share decodes;
+//   - the decoded-path cache named in the options, if any, so repeated
+//     rounds over identical content share decodes;
 //   - the detector output of the last round (reports, racy addresses),
 //     returned without recomputation when no new segment arrived since;
 //   - session-level degradation: a rejected segment (foreign run header)

@@ -12,7 +12,6 @@ import (
 	"prorace/internal/pmu/driver"
 	"prorace/internal/prog"
 	"prorace/internal/progtest"
-	"prorace/internal/replay"
 	"prorace/internal/report"
 	"prorace/internal/synthesis"
 	"prorace/internal/telemetry"
@@ -83,7 +82,6 @@ func TestSegmentEquivalenceMatrix(t *testing.T) {
 			// path cache so counter totals are attributable to this run
 			// alone; every cell below must reproduce it exactly.
 			ref := AnalysisOptions{
-				Mode:      replay.ModeForwardBackward,
 				FaultSpec: variant.fault,
 				PathCache: synthesis.NewCache(2),
 				Telemetry: telemetry.New(),
@@ -153,7 +151,7 @@ func analyzeInSegments(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions
 func TestAnalyzerSnapshotAccumulates(t *testing.T) {
 	p, tr := oracleTrace(t)
 	segs := tr.Trace.Split(4)
-	opts := AnalysisOptions{Mode: replay.ModeForwardBackward, PathCache: synthesis.NewCache(4)}
+	opts := AnalysisOptions{PathCache: synthesis.NewCache(4)}
 	a, err := NewAnalyzer(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +169,7 @@ func TestAnalyzerSnapshotAccumulates(t *testing.T) {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 		want, err := Analyze(p, prefix, AnalysisOptions{
-			Mode: replay.ModeForwardBackward, PathCache: synthesis.NewCache(4),
+			PathCache: synthesis.NewCache(4),
 		})
 		if err != nil {
 			t.Fatalf("prefix analyze %d: %v", i, err)
@@ -204,7 +202,7 @@ func TestAnalyzerSnapshotAccumulates(t *testing.T) {
 func TestAnalyzerRejectsForeignSegment(t *testing.T) {
 	p, tr := oracleTrace(t)
 	segs := tr.Trace.Split(2)
-	a, err := NewAnalyzer(p, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	a, err := NewAnalyzer(p, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +237,7 @@ func TestAnalyzerRejectsForeignSegment(t *testing.T) {
 	}
 
 	// The analysis content itself must match the clean full-trace run.
-	want, err := Analyze(p, tr.Trace, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	want, err := Analyze(p, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +250,7 @@ func TestAnalyzerRejectsForeignSegment(t *testing.T) {
 // ErrFinished; Finish itself stays idempotent.
 func TestAnalyzerFinishSeals(t *testing.T) {
 	p, tr := oracleTrace(t)
-	a, err := NewAnalyzer(p, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	a, err := NewAnalyzer(p, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestAnalyzerFinishSeals(t *testing.T) {
 // segment arrives.
 func TestAnalyzerEmptySession(t *testing.T) {
 	p, _ := oracleTrace(t)
-	a, err := NewAnalyzer(p, AnalysisOptions{Mode: replay.ModeForwardBackward})
+	a, err := NewAnalyzer(p, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestAnalyzerSessionTelemetry(t *testing.T) {
 	p, tr := oracleTrace(t)
 	reg := telemetry.New()
 	a, err := NewAnalyzer(p, AnalysisOptions{
-		Mode: replay.ModeForwardBackward, Telemetry: reg,
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"prorace/internal/core"
 	"prorace/internal/faultinject"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
 	"prorace/internal/report"
 )
 
@@ -111,7 +110,7 @@ func (h *Harness) FaultSweep() (*FaultSweepResult, error) {
 				// corrupted streams from wandering for minutes; the bugs'
 				// clean paths are far below it, so the baseline is unaffected.
 				aopts := core.AnalysisOptions{
-					Mode: replay.ModeForwardBackward, FaultSpec: spec,
+					FaultSpec:      spec,
 					DecodeMaxSteps: 1_000_000,
 				}
 				return core.Analyze(built.Workload.Program, tres.Trace, aopts)

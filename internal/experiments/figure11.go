@@ -9,6 +9,7 @@ import (
 	"prorace/internal/replay"
 	"prorace/internal/report"
 	"prorace/internal/stats"
+	"prorace/internal/synthesis"
 )
 
 // figure11Apps picks one buggy workload per application, as §7.5 evaluates
@@ -88,9 +89,11 @@ func (h *Harness) Figure11() (*Figure11Result, error) {
 			return nil, fmt.Errorf("figure11 %s: %w", id, err)
 		}
 		row := RecoveryRow{App: bug.App}
+		// The three modes share one decode of the trace.
+		cache := synthesis.NewCache(1)
 		for _, mode := range []replay.Mode{replay.ModeBasicBlock, replay.ModeForward, replay.ModeForwardBackward} {
 			ar, err := core.Analyze(built.Workload.Program, tr.Trace, core.AnalysisOptions{
-				Mode: mode, DisableRaceFeedback: true,
+				Mode: mode, DisableRaceFeedback: true, PathCache: cache,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("figure11 %s %v: %w", id, mode, err)

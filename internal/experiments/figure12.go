@@ -7,7 +7,6 @@ import (
 	"prorace/internal/bugs"
 	"prorace/internal/core"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
 	"prorace/internal/report"
 )
 
@@ -70,9 +69,7 @@ func (h *Harness) Figure12() (*Figure12Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figure12 %s: %w", id, err)
 		}
-		ar, err := core.Analyze(built.Workload.Program, tr.Trace, core.AnalysisOptions{
-			Mode: replay.ModeForwardBackward,
-		})
+		ar, err := core.Analyze(built.Workload.Program, tr.Trace, core.AnalysisOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("figure12 %s: %w", id, err)
 		}

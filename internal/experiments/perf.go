@@ -112,19 +112,18 @@ func (h *Harness) Perf() (*PerfResult, error) {
 			}
 		}
 	}
-	add("parallel_analysis/sequential", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
-	add("parallel_analysis/workers", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward, Workers: -1}))
+	add("parallel_analysis/sequential", analysis(core.AnalysisOptions{}))
+	add("parallel_analysis/workers", analysis(core.AnalysisOptions{Workers: -1}))
 
 	// segmented_analysis — the session API's cost contract: feeding the
 	// trace as 8 segments through an Analyzer (merge + one deferred
 	// analysis at Finish) vs the identical one-shot Analyze. The results
 	// are byte-identical (the equivalence matrix proves it); this row
 	// prices the segment accounting and re-merge the daemon path adds.
-	add("segmented_analysis/oneshot", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
+	add("segmented_analysis/oneshot", analysis(core.AnalysisOptions{}))
 	segments := mysqlTrace.Trace.Split(8)
 	add("segmented_analysis/segments=8", func(b *testing.B) {
-		opts := core.AnalysisOptions{Mode: replay.ModeForwardBackward,
-			PathCache: synthesis.NewCache(synthesis.DefaultCacheCapacity)}
+		opts := core.AnalysisOptions{PathCache: synthesis.NewCache(synthesis.DefaultCacheCapacity)}
 		for i := 0; i < b.N; i++ {
 			a, err := core.NewAnalyzer(mysql.Program, opts)
 			if err != nil {
@@ -146,9 +145,8 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	// parallel_analysis/sequential, the 0-extra-cost contract) vs
 	// publishing every stage's series into a live registry (the enabled
 	// overhead, dominated by one snapshot per analysis).
-	add("analyze_telemetry/off", analysis(core.AnalysisOptions{Mode: replay.ModeForwardBackward}))
-	add("analyze_telemetry/on", analysis(core.AnalysisOptions{
-		Mode: replay.ModeForwardBackward, Telemetry: telemetry.New()}))
+	add("analyze_telemetry/off", analysis(core.AnalysisOptions{}))
+	add("analyze_telemetry/on", analysis(core.AnalysisOptions{Telemetry: telemetry.New()}))
 
 	// replay_forward_backward — BenchmarkReplayForwardBackward: the
 	// reconstruction engine alone, synthesis prebuilt.
@@ -162,7 +160,7 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := replay.NewEngine(bs.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	engine := replay.NewEngine(bs.Program, replay.Config{})
 	add("replay_forward_backward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, st := engine.ReconstructAll(bsTTS)
@@ -192,7 +190,7 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	detEngine := replay.NewEngine(mysql.Program, replay.Config{Mode: replay.ModeForwardBackward})
+	detEngine := replay.NewEngine(mysql.Program, replay.Config{})
 	accesses, _ := detEngine.ReconstructAll(detTTS)
 	add("detection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

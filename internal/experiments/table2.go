@@ -6,7 +6,7 @@ import (
 	"prorace/internal/bugs"
 	"prorace/internal/core"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/replay"
+	"prorace/internal/racez"
 	"prorace/internal/report"
 )
 
@@ -130,15 +130,12 @@ func (h *Harness) bugList() []bugs.Bug {
 
 // detectOnce runs one trace + analysis and checks the planted race.
 func detectOnce(built *bugs.Built, period uint64, seed int64, prorace bool) (bool, error) {
-	topts := core.TraceOptions{Period: period, Seed: seed, Machine: built.Workload.Machine}
-	var aopts core.AnalysisOptions
+	topts := racez.TraceOptions(period, seed, built.Workload.Machine)
+	aopts := racez.AnalysisOptions()
 	if prorace {
-		topts.Kind = driver.ProRace
-		topts.EnablePT = true
-		aopts.Mode = replay.ModeForwardBackward
-	} else {
-		topts.Kind = driver.Vanilla
-		aopts.Mode = replay.ModeBasicBlock
+		topts = core.TraceOptions{Kind: driver.ProRace, Period: period, Seed: seed,
+			EnablePT: true, Machine: built.Workload.Machine}
+		aopts = core.AnalysisOptions{}
 	}
 	res, err := core.Run(built.Workload.Program, topts, aopts)
 	if err != nil {

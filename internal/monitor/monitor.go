@@ -74,8 +74,9 @@ type Config struct {
 	// LineageDepth bounds each tenant's lineage ring (how many recent
 	// segments' stage histories are reconstructable). Default 256.
 	LineageDepth int
-	// Analysis configures each window's analysis round. Telemetry and
-	// MetricsAddr inside it are ignored — the monitor owns telemetry.
+	// Analysis configures each window's analysis round; the zero value is
+	// full ProRace. Telemetry and MetricsAddr inside it are ignored — the
+	// monitor owns telemetry.
 	Analysis core.AnalysisOptions
 	// Telemetry receives the proraced_* series (nil disables).
 	Telemetry *telemetry.Registry

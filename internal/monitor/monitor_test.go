@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -226,8 +227,13 @@ func TestUnknownProgram(t *testing.T) {
 }
 
 // TestWorkerPool streams two tenants' runs through an asynchronous pool
-// and verifies quiescence via Wait and identical store contents to the
-// synchronous path.
+// in a burst (every segment queued before one Wait) and verifies
+// quiescence and the store contents that hold under any batching. How the
+// workers group pending segments into rounds decides which prefixes of the
+// run get analysed, and a round over a prefix can report races the whole
+// run does not contain (DESIGN.md §13), so the per-tenant sets may differ.
+// What every schedule shares is the last round per tenant, which covers
+// the whole run: each tenant's store must contain that round's set.
 func TestWorkerPool(t *testing.T) {
 	reg := telemetry.New()
 	m, err := New(Config{Window: 8, QueueDepth: 32, Workers: 2, Telemetry: reg})
@@ -245,11 +251,76 @@ func TestWorkerPool(t *testing.T) {
 		}
 	}
 	m.Wait()
+	for _, st := range m.Tenants() {
+		if st.PendingSegments != 0 {
+			t.Fatalf("tenant %s has %d pending segments after Wait", st.Tenant, st.PendingSegments)
+		}
+	}
 	if m.Store().Len() == 0 {
 		t.Fatal("no reports after pooled ingestion")
 	}
-	// Both tenants saw the same run, so each race appears once per tenant
-	// (fingerprints are tenant-scoped).
+	// The whole-run round, as a synchronous daemon runs it when the run
+	// arrives as one segment.
+	whole, err := New(syncConfig("", telemetry.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	wp, wframes := oracleRun(t, "a", 1)
+	whole.RegisterProgram(wp)
+	for _, tenant := range []string{"a", "b"} {
+		if err := whole.Ingest(tenant, wframes[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := storedFingerprints(whole.Store())
+	if len(want) == 0 {
+		t.Fatal("whole-run round reports no races")
+	}
+	got := storedFingerprints(m.Store())
+	for _, fp := range want {
+		if !slices.Contains(got, fp) {
+			t.Fatalf("pooled store %v misses whole-run race %s", got, fp)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Ingest("a", frames[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ingest after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestWorkerPoolPerSegment waits for the pool after each segment, so
+// every round covers exactly one new segment, as a synchronous Ingest
+// does; the pooled store must then equal the synchronous daemon's, and
+// both tenants, having seen the same run, hold the same number of races
+// (fingerprints are tenant-scoped).
+func TestWorkerPoolPerSegment(t *testing.T) {
+	m, err := New(Config{Window: 8, QueueDepth: 32, Workers: 2, Telemetry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	inline, err := New(syncConfig("", telemetry.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inline.Close()
+	p, frames := oracleRun(t, "a", 4)
+	m.RegisterProgram(p)
+	inline.RegisterProgram(p)
+	for _, f := range frames {
+		for _, tenant := range []string{"a", "b"} {
+			if err := m.Ingest(tenant, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := inline.Ingest(tenant, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Wait()
+	}
 	byTenant := map[string]int{}
 	for _, r := range m.Store().Reports() {
 		byTenant[r.Tenant]++
@@ -257,11 +328,8 @@ func TestWorkerPool(t *testing.T) {
 	if byTenant["a"] == 0 || byTenant["a"] != byTenant["b"] {
 		t.Fatalf("per-tenant report counts diverge: %v", byTenant)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Ingest("a", frames[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ingest after close = %v, want ErrClosed", err)
+	if got, want := storedFingerprints(m.Store()), storedFingerprints(inline.Store()); !slices.Equal(got, want) {
+		t.Fatalf("pooled store %v, synchronous store %v", got, want)
 	}
 }
 

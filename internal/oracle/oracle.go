@@ -38,6 +38,7 @@ import (
 	"prorace/internal/progtest"
 	"prorace/internal/race"
 	"prorace/internal/replay"
+	"prorace/internal/synthesis"
 	"prorace/internal/tracefmt"
 	"prorace/internal/witness"
 )
@@ -233,7 +234,7 @@ func runPeriod(p *prog.Program, seed int64, period uint64, withWitness bool) (*P
 	gt := GroundTruth(tr.Trace.Sync, rec.Accesses)
 	gtPairs := pairSet(gt.Reports())
 
-	aopts := core.AnalysisOptions{Mode: replay.ModeForwardBackward}
+	aopts := core.AnalysisOptions{}
 	if withWitness {
 		// The generator seed doubles as the scheduler seed in this harness,
 		// so the program is rebuildable from the witness file alone.
@@ -306,19 +307,16 @@ type determinismConfig struct {
 }
 
 func determinismConfigs() []determinismConfig {
-	base := core.AnalysisOptions{Mode: replay.ModeForwardBackward}
+	// The two worker configs share one decoded-path cache, so the second
+	// is served from the first's decode; "path cache off" decodes afresh.
+	cache := synthesis.NewCache(1)
 	var out []determinismConfig
 	for _, workers := range []int{0, 4} {
-		o := base
-		o.Workers = workers
-		out = append(out, determinismConfig{name: fmt.Sprintf("workers=%d", workers), opts: o})
+		out = append(out, determinismConfig{name: fmt.Sprintf("workers=%d", workers),
+			opts: core.AnalysisOptions{Workers: workers, PathCache: cache}})
 	}
-	nocache := base
-	nocache.DisablePathCache = true
-	out = append(out, determinismConfig{name: "path cache off", opts: nocache})
-	strict := base
-	strict.Strict = true
-	out = append(out, determinismConfig{name: "strict", opts: strict})
+	out = append(out, determinismConfig{name: "path cache off", opts: core.AnalysisOptions{}})
+	out = append(out, determinismConfig{name: "strict", opts: core.AnalysisOptions{Strict: true}})
 	return out
 }
 

@@ -32,17 +32,21 @@ func (b Block) Contains(addr uint64) bool {
 	return ok && idx >= b.Start && idx < b.End
 }
 
-// Blocks computes (and caches) the program's basic blocks.
+// Blocks returns the program's basic blocks, computing them on first use.
+// It is safe for concurrent use.
+func (p *Program) Blocks() []Block {
+	p.blocksOnce.Do(p.buildBlocks)
+	return p.blocks
+}
+
+// buildBlocks computes the basic blocks and the instruction-to-block index.
 //
 // Leaders are: instruction 0, every direct branch/call target, and every
 // instruction following a block-ending instruction. This is the classic
 // leader algorithm; it needs no path information, matching what a static
 // disassembler of the binary can do — which is all RaceZ's single-basic-
 // block reconstruction has to work with.
-func (p *Program) Blocks() []Block {
-	if p.blocks != nil {
-		return p.blocks
-	}
+func (p *Program) buildBlocks() {
 	n := len(p.Insts)
 	leader := make([]bool, n+1)
 	if n > 0 {
@@ -113,7 +117,6 @@ func (p *Program) Blocks() []Block {
 		}
 	}
 	p.blocks = blocks
-	return blocks
 }
 
 // BlockContaining returns the basic block covering the instruction address.

@@ -11,6 +11,7 @@ package prog
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"prorace/internal/isa"
 )
@@ -46,9 +47,13 @@ type Program struct {
 	// Entry is the address of the first instruction thread 0 executes.
 	Entry uint64
 
-	blocks    []Block // lazily computed basic blocks
-	blockIdx  []int32 // instruction index -> block number
-	funcsByAd []Symbol
+	// Lazily built indexes. Each is built once under its sync.Once, so
+	// concurrent analyses of one program may share it.
+	blocksOnce sync.Once
+	blocks     []Block // basic blocks
+	blockIdx   []int32 // instruction index -> block number
+	funcsOnce  sync.Once
+	funcsByAd  []Symbol // function symbols sorted by address
 }
 
 // TextEnd returns the first address past the text segment.
@@ -103,14 +108,14 @@ func (p *Program) MustLookup(name string) Symbol {
 
 // FuncContaining returns the function symbol whose range covers addr.
 func (p *Program) FuncContaining(addr uint64) (Symbol, bool) {
-	if p.funcsByAd == nil {
+	p.funcsOnce.Do(func() {
 		for _, s := range p.Symbols {
 			if s.Kind == SymFunc {
 				p.funcsByAd = append(p.funcsByAd, s)
 			}
 		}
 		sort.Slice(p.funcsByAd, func(i, j int) bool { return p.funcsByAd[i].Addr < p.funcsByAd[j].Addr })
-	}
+	})
 	i := sort.Search(len(p.funcsByAd), func(i int) bool { return p.funcsByAd[i].Addr > addr })
 	if i == 0 {
 		return Symbol{}, false

@@ -197,7 +197,7 @@ func tracedInput(t *testing.T, w workload.Workload, period uint64, seed int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{Mode: replay.ModeForwardBackward})
+	ar, err := core.Analyze(w.Program, tr.Trace, core.AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"prorace/internal/core"
 	"prorace/internal/machine"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/prog"
 	"prorace/internal/replay"
 )
 
@@ -31,9 +30,4 @@ func TraceOptions(period uint64, seed int64, mcfg machine.Config) core.TraceOpti
 // AnalysisOptions returns the offline configuration RaceZ uses.
 func AnalysisOptions() core.AnalysisOptions {
 	return core.AnalysisOptions{Mode: replay.ModeBasicBlock}
-}
-
-// Run executes the full RaceZ pipeline on a program.
-func Run(p *prog.Program, period uint64, seed int64, mcfg machine.Config) (*core.Result, error) {
-	return core.Run(p, TraceOptions(period, seed, mcfg), AnalysisOptions())
 }

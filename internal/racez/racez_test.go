@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prorace/internal/bugs"
+	"prorace/internal/core"
 	"prorace/internal/pmu/driver"
 	"prorace/internal/replay"
 	"prorace/internal/workload"
@@ -28,7 +29,7 @@ func TestOptionsMatchRaceZDesign(t *testing.T) {
 
 func TestRunProducesBasicBlockReconstruction(t *testing.T) {
 	w := workload.Apache(1)
-	res, err := Run(w.Program, 200, 3, w.Machine)
+	res, err := core.Run(w.Program, TraceOptions(200, 3, w.Machine), AnalysisOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRaceZStillDetectsWithLuckySamples(t *testing.T) {
 	built := bug.Build(1)
 	hits := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		res, err := Run(built.Workload.Program, 10, seed, built.Workload.Machine)
+		res, err := core.Run(built.Workload.Program, TraceOptions(10, seed, built.Workload.Machine), AnalysisOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

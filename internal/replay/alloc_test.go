@@ -39,7 +39,7 @@ func allocWorkload(t *testing.T) (*workload.Workload, map[int32]*synthesis.Threa
 // flaky across runtime versions.
 func TestReconstructAllSteadyStateAllocs(t *testing.T) {
 	w, tts := allocWorkload(t)
-	engine := NewEngine(w.Program, Config{Mode: ModeForwardBackward})
+	engine := NewEngine(w.Program, Config{})
 	// Warm the state pool and count the accesses the budget amortises.
 	accs, st := engine.ReconstructAll(tts)
 	if st.Total() == 0 || len(accs) == 0 {
@@ -60,7 +60,7 @@ func TestReconstructAllSteadyStateAllocs(t *testing.T) {
 // allocations.
 func TestTelemetryOffAddsNoAllocs(t *testing.T) {
 	w, _ := allocWorkload(t)
-	engine := NewEngine(w.Program, Config{Mode: ModeForwardBackward})
+	engine := NewEngine(w.Program, Config{})
 	m := engine.met
 	if m.threads != nil || m.sampled != nil || m.recycles != nil {
 		t.Fatal("engine without telemetry must hold nil metric handles")
@@ -80,7 +80,7 @@ func TestTelemetryOffAddsNoAllocs(t *testing.T) {
 func TestReconstructTelemetryMatchesStats(t *testing.T) {
 	w, tts := allocWorkload(t)
 	reg := telemetry.New()
-	engine := NewEngine(w.Program, Config{Mode: ModeForwardBackward, Telemetry: reg})
+	engine := NewEngine(w.Program, Config{Telemetry: reg})
 	_, st := engine.ReconstructAll(tts)
 	s := reg.Snapshot()
 	checks := []struct {

@@ -273,7 +273,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 				ps.recovered++
 			}
 			rf = regFileFromSample(rec)
-			if e.cfg.EmulateMemory && !invalidAddr(rec.Addr) {
+			if e.emulateMemory && !invalidAddr(rec.Addr) {
 				if in.Op == isa.LOAD {
 					// The loaded value is the post-state of rd.
 					mem[rec.Addr] = rf.get(in.Rd)
@@ -302,7 +302,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 					en.memHit = en.memHit || hit
 					ps.loads[addr] = en
 				}
-				if okAddr && hit && e.cfg.EmulateMemory && !invalidAddr(addr) {
+				if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
 					rf.set(in.Rd, v)
 				} else {
 					if okAddr && invalidAddr(addr) {
@@ -315,7 +315,7 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 					// A store to an unknown location may clobber anything:
 					// conservatively invalidate the emulated memory (§5.1).
 					memDrop()
-				} else if e.cfg.EmulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
+				} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
 					mem[addr] = rf.get(in.Rs)
 				} else {
 					delete(mem, addr)

@@ -10,7 +10,7 @@ func TestLoadLogForcesRerunForSlot(t *testing.T) {
 	_, tts := traceProgram(t, p, 10_000_000, 5)
 	slot := p.MustLookup("slot").Addr
 	out := p.MustLookup("out").Addr
-	e := NewEngine(p, Config{Mode: ModeForwardBackward})
+	e := NewEngine(p, Config{})
 	_, _, log := e.ReconstructThreadLogged(tts[0])
 	if log == nil {
 		t.Fatal("path replay with memory emulation kept no load log")
@@ -32,8 +32,8 @@ func TestLoadLogOnlyForEmulatedPathReplay(t *testing.T) {
 	slot := p.MustLookup("slot").Addr
 	for name, e := range map[string]*Engine{
 		"basic block":  NewEngine(p, Config{Mode: ModeBasicBlock}),
-		"no emulation": NewEngine(p, Config{Mode: ModeForwardBackward}).DisableMemoryEmulation(),
-		"invalidated":  NewEngine(p, Config{Mode: ModeForwardBackward, InvalidAddrs: map[uint64]bool{slot: true}}),
+		"no emulation": NewEngine(p, Config{}).DisableMemoryEmulation(),
+		"invalidated":  NewEngine(p, Config{InvalidAddrs: map[uint64]bool{slot: true}}),
 	} {
 		if _, _, log := e.ReconstructThreadLogged(tts[0]); log != nil {
 			t.Errorf("%s: kept a load log", name)

@@ -36,18 +36,20 @@ import (
 	"prorace/internal/tracefmt"
 )
 
-// Mode selects the reconstruction algorithm.
+// Mode selects the reconstruction algorithm. The zero value is full
+// ProRace, so a configuration that names no mode never silently runs the
+// RaceZ baseline.
 type Mode int
 
 const (
-	// ModeBasicBlock confines reconstruction to each sample's static basic
-	// block (the RaceZ baseline).
-	ModeBasicBlock Mode = iota
-	// ModeForward runs path-guided forward replay only.
-	ModeForward
 	// ModeForwardBackward runs forward, backward, then forward replay
 	// again, which reaches the fixed point (full ProRace).
-	ModeForwardBackward
+	ModeForwardBackward Mode = iota
+	// ModeForward runs path-guided forward replay only.
+	ModeForward
+	// ModeBasicBlock confines reconstruction to each sample's static basic
+	// block (the RaceZ baseline).
+	ModeBasicBlock
 )
 
 // String names the mode.
@@ -66,9 +68,6 @@ func (m Mode) String() string {
 // Config parameterises the engine.
 type Config struct {
 	Mode Mode
-	// EmulateMemory enables the program-map memory emulation of §5.1
-	// (on by default in NewEngine; disable for the ablation).
-	EmulateMemory bool
 	// InvalidAddrs are addresses whose emulated-memory contents must not
 	// be trusted — the detector feeds back racy locations here and
 	// reconstruction is re-run, implementing §5.1's trace regeneration.
@@ -149,6 +148,9 @@ func (s Stats) RecoveryRatio() float64 {
 type Engine struct {
 	p   *prog.Program
 	cfg Config
+	// emulateMemory enables the program-map memory emulation of §5.1: on
+	// for the path modes, off for the ablation.
+	emulateMemory bool
 	// states pools pathState working sets across threads and calls, so
 	// steady-state reconstruction reuses the per-path arrays and map
 	// buckets instead of reallocating them for every thread.
@@ -200,29 +202,23 @@ func (m *engineMetrics) publish(st *Stats) {
 	m.invalidHits.AddInt(st.InvalidHits)
 }
 
-// NewEngine returns an engine with defaults applied.
+// NewEngine returns an engine for cfg. Path modes emulate memory (§5.1)
+// unless DisableMemoryEmulation turns it off.
 func NewEngine(p *prog.Program, cfg Config) *Engine {
-	if cfg.Mode != ModeBasicBlock && !cfg.EmulateMemory {
-		// EmulateMemory defaults to on; Config{} from callers who did not
-		// opt out gets the paper's behaviour. The ablation sets
-		// EmulateMemoryOff explicitly via DisableMemoryEmulation.
-		cfg.EmulateMemory = true
-	}
 	return &Engine{
-		p:      p,
-		cfg:    cfg,
-		states: &sync.Pool{New: func() any { return &pathState{} }},
-		met:    newEngineMetrics(cfg.Telemetry),
+		p:             p,
+		cfg:           cfg,
+		emulateMemory: cfg.Mode != ModeBasicBlock,
+		states:        &sync.Pool{New: func() any { return &pathState{} }},
+		met:           newEngineMetrics(cfg.Telemetry),
 	}
 }
 
 // DisableMemoryEmulation returns a copy of the engine without the §5.1
 // program-map memory emulation, for the ablation benchmark.
 func (e *Engine) DisableMemoryEmulation() *Engine {
-	cfg := e.cfg
-	cfg.EmulateMemory = false
 	cp := *e
-	cp.cfg = cfg
+	cp.emulateMemory = false
 	return &cp
 }
 
@@ -238,7 +234,7 @@ func (e *Engine) ReconstructThread(tt *synthesis.ThreadTrace) ([]Access, Stats) 
 // nil unless the engine replays paths with memory emulation and no
 // InvalidAddrs — the only reconstruction a later invalidation can change.
 func (e *Engine) ReconstructThreadLogged(tt *synthesis.ThreadTrace) ([]Access, Stats, *LoadLog) {
-	return e.reconstruct(tt, e.cfg.Mode != ModeBasicBlock && e.cfg.EmulateMemory && len(e.cfg.InvalidAddrs) == 0)
+	return e.reconstruct(tt, e.emulateMemory && len(e.cfg.InvalidAddrs) == 0)
 }
 
 func (e *Engine) reconstruct(tt *synthesis.ThreadTrace, logLoads bool) ([]Access, Stats, *LoadLog) {

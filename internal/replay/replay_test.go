@@ -150,7 +150,7 @@ func TestForwardBackwardRecoversMoreAndStaysSound(t *testing.T) {
 	g, tts := traceProgram(t, p, 100, 3)
 	fwd := NewEngine(p, Config{Mode: ModeForward})
 	_, stF := fwd.ReconstructAll(tts)
-	fb := NewEngine(p, Config{Mode: ModeForwardBackward})
+	fb := NewEngine(p, Config{})
 	accesses, stFB := fb.ReconstructAll(tts)
 	checkSound(t, g, accesses)
 	if stFB.Total() < stF.Total() {
@@ -188,7 +188,7 @@ func TestPCRelRecoveredWithoutAnySamples(t *testing.T) {
 	if len(tts[0].Samples) != 0 || len(tts[0].UnpinnedSamples) != 0 {
 		t.Fatalf("expected zero samples, got %d", len(tts[0].Samples))
 	}
-	e := NewEngine(p, Config{Mode: ModeForwardBackward})
+	e := NewEngine(p, Config{})
 	accesses, st := e.ReconstructAll(tts)
 	checkSound(t, g, accesses)
 	// All 400 PC-relative accesses are recoverable from the path alone —
@@ -325,7 +325,7 @@ func derefRecoveries(t *testing.T, p *prog.Program, e *Engine, tts map[int32]*sy
 func TestMemoryEmulationEnablesPointerChains(t *testing.T) {
 	p := chainWorkload(false)
 	g, tts := traceProgram(t, p, 10_000_000, 5) // no samples: pure path replay
-	e := NewEngine(p, Config{Mode: ModeForwardBackward})
+	e := NewEngine(p, Config{})
 	withMem := derefRecoveries(t, p, e, tts, g)
 	withoutMem := derefRecoveries(t, p, e.DisableMemoryEmulation(), tts, g)
 	if withMem == 0 {
@@ -339,11 +339,11 @@ func TestMemoryEmulationEnablesPointerChains(t *testing.T) {
 func TestSyscallInvalidatesEmulatedMemory(t *testing.T) {
 	pClean := chainWorkload(false)
 	gC, ttsC := traceProgram(t, pClean, 10_000_000, 5)
-	clean := derefRecoveries(t, pClean, NewEngine(pClean, Config{Mode: ModeForwardBackward}), ttsC, gC)
+	clean := derefRecoveries(t, pClean, NewEngine(pClean, Config{}), ttsC, gC)
 
 	pSys := chainWorkload(true)
 	gS, ttsS := traceProgram(t, pSys, 10_000_000, 5)
-	sys := derefRecoveries(t, pSys, NewEngine(pSys, Config{Mode: ModeForwardBackward}), ttsS, gS)
+	sys := derefRecoveries(t, pSys, NewEngine(pSys, Config{}), ttsS, gS)
 	if sys >= clean {
 		t.Errorf("syscall between store and load must reduce recoveries: %d vs %d", sys, clean)
 	}
@@ -372,7 +372,7 @@ func heapWorkload() *prog.Program {
 func TestMallocResultRestoredFromSyncLog(t *testing.T) {
 	p := heapWorkload()
 	g, tts := traceProgram(t, p, 10_000_000, 5) // no samples at all
-	e := NewEngine(p, Config{Mode: ModeForwardBackward})
+	e := NewEngine(p, Config{})
 	accesses, st := e.ReconstructAll(tts)
 	checkSound(t, g, accesses)
 	// Every heap store flows from the malloc result recorded in the sync
@@ -418,7 +418,7 @@ func TestBBModeConfinedToBlock(t *testing.T) {
 			}
 		}
 	}
-	fb := NewEngine(p, Config{Mode: ModeForwardBackward})
+	fb := NewEngine(p, Config{})
 	_, stFB := fb.ReconstructAll(tts)
 	if stBB.Total() >= stFB.Total() {
 		t.Errorf("BB mode (%d) must recover less than forward+backward (%d)", stBB.Total(), stFB.Total())
@@ -430,9 +430,9 @@ func TestInvalidAddrFeedbackSuppressesEmulation(t *testing.T) {
 	p := chainWorkload(false)
 	g, tts := traceProgram(t, p, 10_000_000, 5)
 	slot := p.MustLookup("slot").Addr
-	e := NewEngine(p, Config{Mode: ModeForwardBackward, InvalidAddrs: map[uint64]bool{slot: true}})
+	e := NewEngine(p, Config{InvalidAddrs: map[uint64]bool{slot: true}})
 	n := derefRecoveries(t, p, e, tts, g)
-	eFree := NewEngine(p, Config{Mode: ModeForwardBackward})
+	eFree := NewEngine(p, Config{})
 	nFree := derefRecoveries(t, p, eFree, tts, g)
 	if n >= nFree {
 		t.Errorf("invalidating the racy slot must reduce recoveries: %d vs %d", n, nFree)

@@ -96,14 +96,14 @@ func matchRoundLoop(t *testing.T, name string, p *prog.Program, tr *tracefmt.Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, _ := replay.NewEngine(p, replay.Config{Mode: replay.ModeForwardBackward}).ReconstructAll(tts)
+	acc, _ := replay.NewEngine(p, replay.Config{}).ReconstructAll(tts)
 	racy := race.Detect(tr.Sync, acc, race.Options{TrackAllocations: true}).RacyAddrSet()
 	invalids := []map[uint64]bool{nil}
 	if len(racy) > 0 {
 		invalids = append(invalids, racy)
 	}
 	for _, invalid := range invalids {
-		emulated := replay.NewEngine(p, replay.Config{Mode: replay.ModeForwardBackward, InvalidAddrs: invalid})
+		emulated := replay.NewEngine(p, replay.Config{InvalidAddrs: invalid})
 		for _, e := range []*replay.Engine{emulated, emulated.DisableMemoryEmulation()} {
 			for tid, tt := range tts {
 				got, gst := e.ReconstructThread(tt)
@@ -175,7 +175,7 @@ func TestSecondForwardPassResolvesThroughEmulatedMemory(t *testing.T) {
 		}
 		return nil
 	}
-	e := replay.NewEngine(p, replay.Config{Mode: replay.ModeForwardBackward})
+	e := replay.NewEngine(p, replay.Config{})
 	acc, _ := e.ReconstructThread(tt)
 	if a := derefOf(acc); a == nil || a.Addr != buf+8 || a.Origin != replay.OriginForward {
 		t.Fatalf("dereference = %+v; want a forward recovery of %#x", a, buf+8)

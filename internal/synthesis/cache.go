@@ -51,8 +51,9 @@ type cacheEntry struct {
 	used uint64
 }
 
-// DefaultCacheCapacity bounds the shared default cache used by the
-// analysis pipeline.
+// DefaultCacheCapacity is a capacity for callers that re-analyse a
+// handful of traces. The pipeline keeps no cache of its own: an analysis
+// memoizes only through a Cache its caller passes in.
 const DefaultCacheCapacity = 4
 
 // NewCache returns a cache bounded to capacity entries (minimum 1).

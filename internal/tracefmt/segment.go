@@ -18,9 +18,13 @@ import (
 // from an analysis of the original trace (core.Analyzer builds on this).
 //
 // Segments may cut anywhere: mid PT packet, between two PEBS records of
-// one thread, in the middle of a critical section's sync records. No
-// boundary alignment is required because segments are only ever analysed
-// after re-concatenation.
+// one thread, in the middle of a critical section's sync records. The
+// merge of every segment needs no boundary alignment. A prefix of the
+// segments is not a consistent cut, though: Split cuts each stream at its
+// own proportional offset, so an analysis of a prefix (a daemon round
+// before the run's last segment arrives) can see an access without the
+// sync record that orders it, and report a race the whole run does not
+// contain (DESIGN.md §13).
 
 // Split divides the trace into n segments (n < 1 is clamped to 1; n larger
 // than the trace's content still yields n segments, the surplus empty).

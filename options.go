@@ -1,105 +1,112 @@
 package prorace
 
-// This file is the package's functional-options surface: one Option type
-// covers both pipeline phases, so callers compose a configuration from
-// named constructors instead of hand-assembling TraceOptions /
-// AnalysisOptions structs and their Disable* booleans.
+// This file is the package's configuration surface: one opaque Option type
+// covers both pipeline phases, and Trace, Analyze, Run and NewAnalyzer all
+// take a list of them.
 //
-//	res, err := prorace.RunWith(w.Program,
+//	res, err := prorace.Run(w.Program,
 //		prorace.WithMachine(w.Machine),
 //		prorace.WithPeriod(1000),
 //		prorace.WithSeed(7),
 //		prorace.WithWorkers(-1),
 //	)
 //
-// NewOptions expands an option list over the standard ProRace defaults
-// (redesigned driver, PT enabled, period 10000, full forward+backward
-// reconstruction); TraceWith / AnalyzeWith / RunWith apply it in one call.
+// No options means full ProRace: the redesigned driver with PT enabled,
+// period 10000, seed 1, forward+backward reconstruction with memory
+// emulation, §5.1 race feedback and allocation tracking. newOptions is the
+// one place those defaults are resolved; the analysis defaults are the
+// zero value of the underlying options, so the resolver only has to name
+// the trace ones.
 //
-// Performance options never change results: WithWorkers, WithShadowTable,
-// WithPathCache and WithoutPathCache all produce byte-identical race
-// reports for a given trace (see the
-// package's Determinism section; the guarantee is enforced by
-// internal/oracle's metamorphic matrix).
+// Performance options never change results: WithWorkers, WithShadowTable
+// and WithPathCache all produce byte-identical race reports for a given
+// trace (see the package's Determinism section; the guarantee is enforced
+// by internal/oracle's metamorphic matrix).
+
+import "prorace/internal/core"
 
 // Option configures one pipeline run, spanning the online tracing phase
 // and the offline analysis phase.
-type Option func(*TraceOptions, *AnalysisOptions)
+type Option func(*config)
 
-// NewOptions expands opts over the standard ProRace configuration and
-// returns the two phase-option structs the explicit entry points take.
-func NewOptions(opts ...Option) (TraceOptions, AnalysisOptions) {
-	topts := TraceOptions{Kind: ProRaceDriver, Period: 10000, Seed: 1, EnablePT: true}
-	aopts := AnalysisOptions{Mode: ReplayForwardBackward}
+// config is what a list of Options resolves to.
+type config struct {
+	trace    core.TraceOptions
+	analysis core.AnalysisOptions
+}
+
+// newOptions expands opts over the ProRace defaults.
+func newOptions(opts ...Option) config {
+	c := config{trace: core.TraceOptions{Kind: ProRaceDriver, Period: 10000, Seed: 1, EnablePT: true}}
 	for _, o := range opts {
-		o(&topts, &aopts)
+		o(&c)
 	}
-	if aopts.Witnesses != nil {
+	if w := c.analysis.Witnesses; w != nil {
 		// Witness generation re-executes the traced run, so it inherits the
 		// online configuration regardless of option order.
-		aopts.Witnesses.Machine = topts.Machine
-		aopts.Witnesses.DriverKind = topts.Kind
-		aopts.Witnesses.EnablePT = topts.EnablePT
+		w.Machine = c.trace.Machine
+		w.DriverKind = c.trace.Kind
+		w.EnablePT = c.trace.EnablePT
 	}
-	return topts, aopts
+	return c
 }
 
 // WithMachine overrides the simulated machine configuration (cores, I/O
 // latencies...).
 func WithMachine(cfg MachineConfig) Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.Machine = cfg }
+	return func(c *config) { c.trace.Machine = cfg }
 }
 
 // WithPeriod sets the PEBS sampling period.
 func WithPeriod(period uint64) Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.Period = period }
+	return func(c *config) { c.trace.Period = period }
 }
 
 // WithSeed sets the scheduler seed; a (program, seed) pair reproduces
 // exactly.
 func WithSeed(seed int64) Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.Seed = seed }
+	return func(c *config) { c.trace.Seed = seed }
 }
 
 // WithDriver selects the PEBS driver model (ProRaceDriver or
 // VanillaDriver).
 func WithDriver(kind DriverKind) Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.Kind = kind }
+	return func(c *config) { c.trace.Kind = kind }
 }
 
 // WithDriverCosts overrides the driver stack's cycle-cost model.
 func WithDriverCosts(costs DriverCosts) Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.Costs = &costs }
+	return func(c *config) { c.trace.Costs = &costs }
 }
 
 // WithoutPT turns off control-flow tracing (on by default).
 func WithoutPT() Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.EnablePT = false }
+	return func(c *config) { c.trace.EnablePT = false }
 }
 
 // WithOverheadMeasurement additionally executes an untraced baseline run
 // with the same seed, so TraceResult.Overhead can be reported.
 func WithOverheadMeasurement() Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.MeasureOverhead = true }
+	return func(c *config) { c.trace.MeasureOverhead = true }
 }
 
 // WithoutRandomFirstPeriod disables the ProRace driver's sampling-phase
 // randomisation (ablation).
 func WithoutRandomFirstPeriod() Option {
-	return func(t *TraceOptions, _ *AnalysisOptions) { t.DisableRandomFirstPeriod = true }
+	return func(c *config) { c.trace.DisableRandomFirstPeriod = true }
 }
 
 // WithReplayMode selects the reconstruction algorithm (default
 // ReplayForwardBackward, full ProRace).
 func WithReplayMode(m ReplayMode) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.Mode = m }
+	return func(c *config) { c.analysis.Mode = m }
 }
 
 // WithWorkers fans PT decoding and replay reconstruction out across a
 // worker pool, one thread at a time; detection stays sequential:
 // 0 = sequential, negative = GOMAXPROCS, n > 0 = n workers.
 func WithWorkers(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.Workers = n }
+	return func(c *config) { c.analysis.Workers = n }
 }
 
 // WithShadowTable pre-sizes the detector's flat shadow table for the
@@ -108,30 +115,30 @@ func WithWorkers(n int) Option {
 // traces. 0 starts small and grows on demand; the hint never changes
 // results.
 func WithShadowTable(variables int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.ShadowCapacityHint = variables }
+	return func(c *config) { c.analysis.ShadowCapacityHint = variables }
 }
 
 // WithMaxReports bounds the race report list.
 func WithMaxReports(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.MaxReports = n }
+	return func(c *config) { c.analysis.MaxReports = n }
 }
 
 // WithoutMemoryEmulation turns off the §5.1 program-map memory emulation
 // (ablation).
 func WithoutMemoryEmulation() Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DisableMemoryEmulation = true }
+	return func(c *config) { c.analysis.DisableMemoryEmulation = true }
 }
 
 // WithoutRaceFeedback turns off the §5.1 invalidate-and-regenerate loop
 // for racy emulated locations (ablation).
 func WithoutRaceFeedback() Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DisableRaceFeedback = true }
+	return func(c *config) { c.analysis.DisableRaceFeedback = true }
 }
 
 // WithoutAllocationTracking turns off malloc/free generation tracking
 // (ablation; reintroduces the §4.3 address-reuse false positive).
 func WithoutAllocationTracking() Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DisableAllocationTracking = true }
+	return func(c *config) { c.analysis.DisableAllocationTracking = true }
 }
 
 // WithStrict makes the offline phase abort on the first decode error or
@@ -140,27 +147,20 @@ func WithoutAllocationTracking() Option {
 // failing threads are dropped with their sync records retained, and
 // everything given up is accounted in AnalysisResult.Degradation.
 func WithStrict() Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.Strict = true }
+	return func(c *config) { c.analysis.Strict = true }
 }
 
 // WithFaultInjection deterministically corrupts the collected trace before
 // analysis — the robustness-testing hook. A nil spec is a no-op.
 func WithFaultInjection(spec *FaultSpec) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.FaultSpec = spec }
+	return func(c *config) { c.analysis.FaultSpec = spec }
 }
 
-// WithPathCache routes the analysis's decoded-path lookups through cache
-// instead of the shared process-wide default, isolating its contents (and
-// hit/miss counters) to the analyses that share it.
+// WithPathCache memoizes PT decode and synthesis in cache, so analyses
+// that share it decode a given trace only once (see NewPathCache). Without
+// it every analysis decodes afresh.
 func WithPathCache(cache *PathCache) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.PathCache = cache }
-}
-
-// WithoutPathCache disables decoded-path memoization: every analysis
-// re-decodes PT and re-synthesises thread paths from scratch (ablation, and
-// the honest configuration for decode-cost measurements).
-func WithoutPathCache() Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.DisablePathCache = true }
+	return func(c *config) { c.analysis.PathCache = cache }
 }
 
 // WithTelemetry routes both phases' metrics and stage spans into reg (see
@@ -168,9 +168,9 @@ func WithoutPathCache() Option {
 // which adds zero allocations to the pipeline's hot paths. The registry's
 // snapshot is attached to AnalysisResult.Telemetry.
 func WithTelemetry(reg *Telemetry) Option {
-	return func(t *TraceOptions, a *AnalysisOptions) {
-		t.Telemetry = reg
-		a.Telemetry = reg
+	return func(c *config) {
+		c.trace.Telemetry = reg
+		c.analysis.Telemetry = reg
 	}
 }
 
@@ -182,9 +182,9 @@ func WithTelemetry(reg *Telemetry) Option {
 // enabled and served. The listener is shared: repeated runs with the same
 // addr reuse one server.
 func WithMetricsAddr(addr string) Option {
-	return func(t *TraceOptions, a *AnalysisOptions) {
-		t.MetricsAddr = addr
-		a.MetricsAddr = addr
+	return func(c *config) {
+		c.trace.MetricsAddr = addr
+		c.analysis.MetricsAddr = addr
 	}
 }
 
@@ -200,11 +200,11 @@ func WithMetricsAddr(addr string) Option {
 // Witness generation replays the program (bounded by WithWitnessBudget)
 // and never changes which races are reported.
 func WithWitnesses(spec WitnessSpec) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) {
-		if a.Witnesses == nil {
-			a.Witnesses = &WitnessOptions{}
+	return func(c *config) {
+		if c.analysis.Witnesses == nil {
+			c.analysis.Witnesses = &core.WitnessOptions{}
 		}
-		a.Witnesses.Spec = spec
+		c.analysis.Witnesses.Spec = spec
 	}
 }
 
@@ -212,11 +212,11 @@ func WithWitnesses(spec WitnessSpec) Option {
 // spend per report (0 = the default budget). Implies nothing without
 // WithWitnesses.
 func WithWitnessBudget(replays int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) {
-		if a.Witnesses == nil {
-			a.Witnesses = &WitnessOptions{}
+	return func(c *config) {
+		if c.analysis.Witnesses == nil {
+			c.analysis.Witnesses = &core.WitnessOptions{}
 		}
-		a.Witnesses.Budget = replays
+		c.analysis.Witnesses.Budget = replays
 	}
 }
 
@@ -225,31 +225,5 @@ func WithWitnessBudget(replays int) Option {
 // analysis aborts (strict). 0 means the default of one retry; negative
 // disables retries.
 func WithThreadRetries(n int) Option {
-	return func(_ *TraceOptions, a *AnalysisOptions) { a.ThreadRetries = n }
-}
-
-// TraceWith runs the online phase with functional options.
-func TraceWith(p *Program, opts ...Option) (*TraceResult, error) {
-	topts, _ := NewOptions(opts...)
-	return Trace(p, topts)
-}
-
-// AnalyzeWith runs the offline phase over a collected trace with
-// functional options.
-func AnalyzeWith(p *Program, tr *TraceResult, opts ...Option) (*AnalysisResult, error) {
-	_, aopts := NewOptions(opts...)
-	return Analyze(p, tr, aopts)
-}
-
-// RunWith executes the complete pipeline with functional options.
-func RunWith(p *Program, opts ...Option) (*Result, error) {
-	topts, aopts := NewOptions(opts...)
-	return Run(p, topts, aopts)
-}
-
-// NewAnalyzerWith opens a segment-resumable analysis session with
-// functional options (see NewAnalyzer for the session contract).
-func NewAnalyzerWith(p *Program, opts ...Option) (*Analyzer, error) {
-	_, aopts := NewOptions(opts...)
-	return NewAnalyzer(p, aopts)
+	return func(c *config) { c.analysis.ThreadRetries = n }
 }

@@ -19,14 +19,17 @@
 // # Quick start
 //
 //	w := prorace.MustWorkload("apache", 1)
-//	res, err := prorace.RunWith(w.Program, prorace.WithMachine(w.Machine))
+//	res, err := prorace.Run(w.Program, prorace.WithMachine(w.Machine))
 //	if err != nil { ... }
 //	fmt.Print(prorace.FormatRaces(w.Program, res.AnalysisResult.Reports))
 //
-// The pipeline is configured with functional options (options.go):
-// WithPeriod, WithSeed, WithReplayMode, WithWorkers and friends;
-// WithWorkers fans PT decoding and reconstruction out across a worker pool
-// with race reports identical to the sequential analysis.
+// Trace, Analyze, Run and NewAnalyzer are the entry points, and all of
+// them take functional options (options.go): WithPeriod, WithSeed,
+// WithReplayMode, WithWorkers and friends. No options means full ProRace;
+// the RaceZ baseline is WithDriver(VanillaDriver), WithoutPT() and
+// WithReplayMode(ReplayBasicBlock). WithWorkers fans PT decoding and
+// reconstruction out across a worker pool with race reports identical to
+// the sequential analysis.
 //
 // Custom programs are assembled with NewProgram (see the builder aliases
 // below) and run through the same pipeline; examples/ contains three
@@ -41,7 +44,7 @@
 //     exactly — same interleaving, same samples, same trace bytes;
 //   - offline: for a given trace, the reported race set is byte-identical
 //     across every performance configuration — any WithWorkers count,
-//     path cache on or off — and WithStrict equals
+//     with or without WithPathCache — and WithStrict equals
 //     the lenient default whenever the trace decodes cleanly.
 //
 // internal/oracle checks these invariants differentially: it generates
@@ -66,7 +69,6 @@ import (
 	"prorace/internal/pmu/driver"
 	"prorace/internal/prog"
 	"prorace/internal/race"
-	"prorace/internal/racez"
 	"prorace/internal/replay"
 	"prorace/internal/report"
 	"prorace/internal/synthesis"
@@ -82,17 +84,13 @@ type (
 	Program = prog.Program
 	// MachineConfig parameterises the simulated machine.
 	MachineConfig = machine.Config
-	// TraceOptions configures the online tracing phase.
-	TraceOptions = core.TraceOptions
 	// TraceResult is the online phase's outcome.
 	TraceResult = core.TraceResult
-	// AnalysisOptions configures the offline phase.
-	AnalysisOptions = core.AnalysisOptions
 	// AnalysisResult is the offline phase's outcome.
 	AnalysisResult = core.AnalysisResult
 	// Analyzer is a stateful, segment-resumable analysis session: Feed it
 	// trace segments as they arrive, Snapshot it at any point, Finish it to
-	// seal the run (see NewAnalyzer / NewAnalyzerWith). Feeding a trace in
+	// seal the run (see NewAnalyzer). Feeding a trace in
 	// any number of segments yields reports byte-identical to one-shot
 	// Analyze.
 	Analyzer = core.Analyzer
@@ -111,7 +109,7 @@ type (
 	// before analysis (robustness testing).
 	FaultSpec = faultinject.Spec
 	// PathCache memoizes decoded PT paths across analyses of one trace
-	// (see NewPathCache / WithPathCache).
+	// (see NewPathCache and WithPathCache).
 	PathCache = synthesis.Cache
 	// DriverKind selects the vanilla or ProRace PEBS driver model.
 	DriverKind = driver.Kind
@@ -145,9 +143,6 @@ type (
 	// WitnessSpec names the replayable program source a witness re-executes
 	// (see BugWitnessSpec, WorkloadWitnessSpec, OracleWitnessSpec).
 	WitnessSpec = witness.ProgSpec
-	// WitnessOptions configures witness generation on AnalysisOptions
-	// (WithWitnesses fills it from the resolved trace options).
-	WitnessOptions = core.WitnessOptions
 	// WitnessOutcome is one report's generation result: the witness (nil if
 	// none was found within budget), the rung that produced it, and the
 	// replays spent.
@@ -167,29 +162,29 @@ const (
 
 // Replay modes.
 const (
+	// ReplayForwardBackward runs full ProRace reconstruction (§5.2), the
+	// default.
+	ReplayForwardBackward = replay.ModeForwardBackward
+	// ReplayForward runs forward replay only (§5.1).
+	ReplayForward = replay.ModeForward
 	// ReplayBasicBlock confines reconstruction to each sample's basic
 	// block (the RaceZ baseline).
 	ReplayBasicBlock = replay.ModeBasicBlock
-	// ReplayForward runs forward replay only (§5.1).
-	ReplayForward = replay.ModeForward
-	// ReplayForwardBackward runs full ProRace reconstruction (§5.2).
-	ReplayForwardBackward = replay.ModeForwardBackward
 )
 
 // Trace runs the online phase: execute the program on the simulated
 // machine under the configured driver, collecting PEBS, PT and sync traces.
-func Trace(p *Program, opts TraceOptions) (*TraceResult, error) {
-	return core.TraceProgram(p, opts)
+func Trace(p *Program, opts ...Option) (*TraceResult, error) {
+	return core.TraceProgram(p, newOptions(opts...).trace)
 }
 
 // Analyze runs the offline phase over a collected trace: PT decode and
 // synthesis, memory-access reconstruction, and FastTrack detection. It is
 // a thin wrapper over a single-segment Analyzer session — the same code
-// path streamed ingest takes — sequential by default; set
-// AnalysisOptions.Workers (or WithWorkers) to fan synthesis and
-// reconstruction out across a worker pool.
-func Analyze(p *Program, tr *TraceResult, opts AnalysisOptions) (*AnalysisResult, error) {
-	a, err := core.NewAnalyzer(p, opts)
+// path streamed ingest takes — sequential by default; WithWorkers fans
+// synthesis and reconstruction out across a worker pool.
+func Analyze(p *Program, tr *TraceResult, opts ...Option) (*AnalysisResult, error) {
+	a, err := NewAnalyzer(p, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -203,37 +198,15 @@ func Analyze(p *Program, tr *TraceResult, opts AnalysisOptions) (*AnalysisResult
 // program: Feed it the run's trace in segments as they arrive (any cut
 // points — see TraceSegment), read intermediate results with Snapshot, and
 // seal it with Finish. The reports are byte-identical to one-shot Analyze
-// over the concatenated trace at every Workers/path-cache configuration.
-func NewAnalyzer(p *Program, opts AnalysisOptions) (*Analyzer, error) {
-	return core.NewAnalyzer(p, opts)
+// over the concatenated trace at every WithWorkers/WithPathCache setting.
+func NewAnalyzer(p *Program, opts ...Option) (*Analyzer, error) {
+	return core.NewAnalyzer(p, newOptions(opts...).analysis)
 }
 
 // Run executes the complete pipeline.
-func Run(p *Program, topts TraceOptions, aopts AnalysisOptions) (*Result, error) {
-	return core.Run(p, topts, aopts)
-}
-
-// ProRaceTraceOptions returns the standard ProRace online configuration:
-// the redesigned driver with PT enabled.
-func ProRaceTraceOptions(period uint64, seed int64, mcfg MachineConfig) TraceOptions {
-	return TraceOptions{Kind: ProRaceDriver, Period: period, Seed: seed, EnablePT: true, Machine: mcfg}
-}
-
-// DefaultAnalysisOptions returns the standard ProRace offline
-// configuration: full forward+backward reconstruction with memory
-// emulation, race feedback, and allocation tracking.
-func DefaultAnalysisOptions() AnalysisOptions {
-	return AnalysisOptions{Mode: ReplayForwardBackward}
-}
-
-// RaceZTraceOptions returns the RaceZ baseline's online configuration.
-func RaceZTraceOptions(period uint64, seed int64, mcfg MachineConfig) TraceOptions {
-	return racez.TraceOptions(period, seed, mcfg)
-}
-
-// RaceZAnalysisOptions returns the RaceZ baseline's offline configuration.
-func RaceZAnalysisOptions() AnalysisOptions {
-	return racez.AnalysisOptions()
+func Run(p *Program, opts ...Option) (*Result, error) {
+	c := newOptions(opts...)
+	return core.Run(p, c.trace, c.analysis)
 }
 
 // PARSEC returns the 13 CPU-bound benchmark workloads.
@@ -292,10 +265,9 @@ func ReadWitness(path string) (*Witness, error) { return witness.ReadFile(path) 
 // schedule.
 func DecodeWitness(data []byte) (*Witness, error) { return witness.Decode(data) }
 
-// NewPathCache returns a decoded-path cache holding up to capacity traces,
-// for analyses that want cache isolation via WithPathCache. Analyses that
-// pass neither WithPathCache nor WithoutPathCache share a process-wide
-// default cache.
+// NewPathCache returns a decoded-path cache holding up to capacity traces.
+// Pass it with WithPathCache to analyses that re-analyse one trace, so
+// they decode it only once; without it every analysis decodes afresh.
 func NewPathCache(capacity int) *PathCache { return synthesis.NewCache(capacity) }
 
 // ParseFaultSpec parses a fault-injection spec of the form
@@ -310,8 +282,7 @@ func FormatRaces(p *Program, rs []Report) string { return report.FormatRaces(p, 
 func FormatRace(p *Program, r Report) string { return report.FormatRace(p, r) }
 
 // NewTelemetry returns an empty metrics registry. Pass it to runs via
-// WithTelemetry (or the phase options' Telemetry fields); every pipeline
-// stage then publishes its prorace_* series and stage spans into it.
+// WithTelemetry; every pipeline stage then publishes its prorace_* series and stage spans into it.
 // Expose it with ServeMetrics, render it with its WritePrometheus /
 // WriteJSON / WriteTimeline methods, or read AnalysisResult.Telemetry.
 func NewTelemetry() *Telemetry { return telemetry.New() }

@@ -1,24 +1,25 @@
 package prorace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"prorace/internal/racez"
 )
 
 // TestPublicAPIQuickstart exercises the facade the way the README's
 // quickstart does: built-in workload, trace, analyze, format.
 func TestPublicAPIQuickstart(t *testing.T) {
 	w := MustWorkload("apache", 1)
-	topts := ProRaceTraceOptions(1000, 42, w.Machine)
-	topts.MeasureOverhead = true
-	tr, err := Trace(w.Program, topts)
+	tr, err := Trace(w.Program, WithMachine(w.Machine), WithPeriod(1000), WithSeed(42), WithOverheadMeasurement())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Trace.SampleCount() == 0 {
 		t.Fatal("no samples")
 	}
-	ar, err := Analyze(w.Program, tr, DefaultAnalysisOptions())
+	ar, err := Analyze(w.Program, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestPublicAPICustomProgram(t *testing.T) {
 	f.Exit(0)
 	p := mustBuild(b)
 
-	res, err := Run(p, ProRaceTraceOptions(500, 3, MachineConfig{Cores: 4}), DefaultAnalysisOptions())
+	res, err := Run(p, WithMachine(MachineConfig{Cores: 4}), WithPeriod(500), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +102,7 @@ func TestPublicAPIBugCatalog(t *testing.T) {
 	if len(built.RacyPCs) != 2 {
 		t.Error("ground truth missing")
 	}
-	res, err := Run(built.Workload.Program,
-		ProRaceTraceOptions(1000, 5, built.Workload.Machine),
-		DefaultAnalysisOptions())
+	res, err := Run(built.Workload.Program, WithMachine(built.Workload.Machine), WithPeriod(1000), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +111,20 @@ func TestPublicAPIBugCatalog(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRaceZPreset: the three options that turn ProRace into the
+// RaceZ baseline resolve to exactly internal/racez's configuration.
 func TestPublicAPIRaceZPreset(t *testing.T) {
 	w := MustWorkload("apache", 1)
-	res, err := Run(w.Program, RaceZTraceOptions(500, 3, w.Machine), RaceZAnalysisOptions())
+	opts := []Option{WithMachine(w.Machine), WithPeriod(500), WithSeed(3),
+		WithDriver(VanillaDriver), WithoutPT(), WithReplayMode(ReplayBasicBlock)}
+	c := newOptions(opts...)
+	if !reflect.DeepEqual(c.trace, racez.TraceOptions(500, 3, w.Machine)) {
+		t.Errorf("trace options %+v, want racez's", c.trace)
+	}
+	if !reflect.DeepEqual(c.analysis, racez.AnalysisOptions()) {
+		t.Errorf("analysis options %+v, want racez's", c.analysis)
+	}
+	res, err := Run(w.Program, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +151,11 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 // TestPublicAPIFunctionalOptions exercises the options.go surface: the
-// defaults, every constructor's field mapping, and the RunWith pipeline
-// with parallel analysis enabled.
+// defaults, every constructor's field mapping, and the Run pipeline with
+// parallel analysis enabled.
 func TestPublicAPIFunctionalOptions(t *testing.T) {
-	topts, aopts := NewOptions()
+	c := newOptions()
+	topts, aopts := c.trace, c.analysis
 	if topts.Kind != ProRaceDriver || !topts.EnablePT || topts.Period != 10000 || topts.Seed != 1 {
 		t.Errorf("trace defaults wrong: %+v", topts)
 	}
@@ -153,7 +164,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 	}
 
 	costs := DriverCosts{}
-	topts, aopts = NewOptions(
+	c = newOptions(
 		WithMachine(MachineConfig{Cores: 6}),
 		WithPeriod(500),
 		WithSeed(9),
@@ -169,6 +180,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 		WithoutRaceFeedback(),
 		WithoutAllocationTracking(),
 	)
+	topts, aopts = c.trace, c.analysis
 	if topts.Machine.Cores != 6 || topts.Period != 500 || topts.Seed != 9 ||
 		topts.Kind != VanillaDriver || topts.Costs == nil || topts.EnablePT ||
 		!topts.MeasureOverhead || !topts.DisableRandomFirstPeriod {
@@ -181,7 +193,7 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 	}
 
 	w := MustWorkload("apache", 1)
-	res, err := RunWith(w.Program,
+	res, err := Run(w.Program,
 		WithMachine(w.Machine),
 		WithPeriod(1000),
 		WithSeed(42),
@@ -191,18 +203,18 @@ func TestPublicAPIFunctionalOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.AnalysisResult.ReplayStats.Total() == 0 {
-		t.Fatal("parallel RunWith produced nothing")
+		t.Fatal("parallel Run produced nothing")
 	}
 	if res.AnalysisResult.Workers < 1 {
 		t.Errorf("resolved parallelism not recorded: %+v", res.AnalysisResult)
 	}
 
-	// TraceWith + AnalyzeWith compose to the same pipeline.
-	tr, err := TraceWith(w.Program, WithMachine(w.Machine), WithPeriod(1000), WithSeed(42))
+	// Trace + Analyze compose to the same pipeline.
+	tr, err := Trace(w.Program, WithMachine(w.Machine), WithPeriod(1000), WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := AnalyzeWith(w.Program, tr, WithWorkers(2))
+	ar, err := Analyze(w.Program, tr, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

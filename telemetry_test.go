@@ -60,7 +60,7 @@ func TestTelemetryLiveScrape(t *testing.T) {
 	go func() {
 		var ferr error
 		for trial := 0; trial < 3 && ferr == nil; trial++ {
-			_, ferr = RunWith(w.Program,
+			_, ferr = Run(w.Program,
 				WithMachine(w.Machine),
 				WithPeriod(500),
 				WithSeed(int64(trial+1)),
@@ -121,7 +121,7 @@ func sorted(set map[string]bool) []string {
 func TestTelemetrySnapshotInResult(t *testing.T) {
 	w := MustWorkload("pfscan", 1)
 	reg := NewTelemetry()
-	res, err := RunWith(w.Program, WithMachine(w.Machine), WithPeriod(1000), WithTelemetry(reg))
+	res, err := Run(w.Program, WithMachine(w.Machine), WithPeriod(1000), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 		t.Error("snapshot carries no stage spans")
 	}
 
-	plain, err := RunWith(w.Program, WithMachine(w.Machine), WithPeriod(1000))
+	plain, err := Run(w.Program, WithMachine(w.Machine), WithPeriod(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 // configurations, once the wall-clock series (histograms, spans) and the
 // pathState pool's recycle tally are excluded: sync.Pool may drop items
 // (at random under the race detector), so that tally is allocation
-// behaviour, not pipeline output. The path cache is off so every run
+// behaviour, not pipeline output. No path cache is passed, so every run
 // publishes the full decode series (a cache hit honestly publishes only
 // the hit counter — that asymmetry is the documented cache-hit
 // semantics, not nondeterminism).
@@ -161,9 +161,9 @@ func TestTelemetryDeterministic(t *testing.T) {
 	w := MustWorkload("pfscan", 1)
 	counters := func(opts ...Option) map[string]uint64 {
 		reg := NewTelemetry()
-		_, err := RunWith(w.Program, append(opts,
+		_, err := Run(w.Program, append(opts,
 			WithMachine(w.Machine), WithPeriod(500), WithSeed(7),
-			WithoutPathCache(), WithTelemetry(reg))...)
+			WithTelemetry(reg))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 func TestTelemetryTimelineArtifact(t *testing.T) {
 	w := MustWorkload("pfscan", 1)
 	reg := NewTelemetry()
-	if _, err := RunWith(w.Program, WithMachine(w.Machine), WithPeriod(1000),
+	if _, err := Run(w.Program, WithMachine(w.Machine), WithPeriod(1000),
 		WithWorkers(2), WithTelemetry(reg)); err != nil {
 		t.Fatal(err)
 	}
