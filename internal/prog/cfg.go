@@ -119,6 +119,26 @@ func (p *Program) buildBlocks() {
 	p.blocks = blocks
 }
 
+// NextTerminator returns the index of the first block-ending instruction
+// (isa.Inst.EndsBlock) at or after instruction index idx, or len(p.Insts)
+// when straight-line code from idx runs off the end of the text segment.
+// Everything from idx up to that index executes unconditionally, which is
+// what lets the PT decoder consume a whole straight-line run at once. It
+// is safe for concurrent use.
+func (p *Program) NextTerminator(idx int) int {
+	p.termOnce.Do(func() {
+		p.termIdx = make([]int32, len(p.Insts))
+		next := int32(len(p.Insts))
+		for k := len(p.Insts) - 1; k >= 0; k-- {
+			if p.Insts[k].EndsBlock() {
+				next = int32(k)
+			}
+			p.termIdx[k] = next
+		}
+	})
+	return int(p.termIdx[idx])
+}
+
 // BlockContaining returns the basic block covering the instruction address.
 func (p *Program) BlockContaining(addr uint64) (Block, bool) {
 	idx, ok := isa.AddrToIndex(addr)

@@ -54,6 +54,8 @@ type Program struct {
 	blockIdx   []int32 // instruction index -> block number
 	funcsOnce  sync.Once
 	funcsByAd  []Symbol // function symbols sorted by address
+	termOnce   sync.Once
+	termIdx    []int32 // instruction index -> next block-ending instruction
 }
 
 // TextEnd returns the first address past the text segment.

@@ -37,10 +37,11 @@ func TestFuzzDecodeMatchesExecution(t *testing.T) {
 				t.Fatalf("seed %d tid %d: decoded %d steps, executed %d",
 					seed, tid, path.Len(), len(want))
 			}
+			pcs := pcsOf(path)
 			for i := range want {
-				if path.PCs[i] != want[i].PC {
+				if pcs[i] != want[i].PC {
 					t.Fatalf("seed %d tid %d step %d: %#x vs %#x",
-						seed, tid, i, path.PCs[i], want[i].PC)
+						seed, tid, i, pcs[i], want[i].PC)
 				}
 			}
 		}

@@ -7,7 +7,7 @@ import (
 // FuzzPTDecodeLenient throws arbitrary byte streams at both decode modes.
 // Strict may error; lenient must always return a path whose every PC is a
 // real instruction of the program. Neither may panic or run away past the
-// step budget.
+// step budget, and both must agree with the step-at-a-time reference walk.
 func FuzzPTDecodeLenient(f *testing.F) {
 	p, _, streams := tracePSBDense(f)
 	f.Add(streams[0])
@@ -19,17 +19,20 @@ func FuzzPTDecodeLenient(f *testing.F) {
 
 	const budget = 1 << 14
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := DecodeWith(p, 0, data, Options{MaxSteps: budget}); err != nil {
-			_ = err // strict mode may reject; it must only not panic
+		if _, diff := DiffReference(p, 0, data, Options{MaxSteps: budget}); diff != "" {
+			t.Fatalf("strict decode differs from the reference: %s", diff)
 		}
-		path, err := DecodeWith(p, 0, data, Options{Lenient: true, MaxSteps: budget})
-		if err != nil {
-			t.Fatalf("lenient decode errored: %v", err)
+		path, diff := DiffReference(p, 0, data, Options{Lenient: true, MaxSteps: budget})
+		if diff != "" {
+			t.Fatalf("lenient decode differs from the reference: %s", diff)
+		}
+		if path == nil {
+			t.Fatal("lenient decode returned no path")
 		}
 		if path.Len() > budget {
 			t.Fatalf("decode exceeded step budget: %d steps", path.Len())
 		}
-		for i, pc := range path.PCs {
+		for i, pc := range pcsOf(path) {
 			if _, ok := p.InstAt(pc); !ok {
 				t.Fatalf("step %d: pc %#x is not an instruction", i, pc)
 			}

@@ -46,9 +46,10 @@ func TestLenientEqualsStrictOnCleanStream(t *testing.T) {
 	if strictPath.Len() != lenientPath.Len() {
 		t.Fatalf("strict %d steps, lenient %d", strictPath.Len(), lenientPath.Len())
 	}
-	for i := range strictPath.PCs {
-		if strictPath.PCs[i] != lenientPath.PCs[i] {
-			t.Fatalf("step %d differs: strict %#x lenient %#x", i, strictPath.PCs[i], lenientPath.PCs[i])
+	strictPCs, lenientPCs := pcsOf(strictPath), pcsOf(lenientPath)
+	for i := range strictPCs {
+		if strictPCs[i] != lenientPCs[i] {
+			t.Fatalf("step %d differs: strict %#x lenient %#x", i, strictPCs[i], lenientPCs[i])
 		}
 	}
 	// And both match the execution exactly.
@@ -107,7 +108,7 @@ func TestLenientRecoversFromMidStreamCorruption(t *testing.T) {
 	}
 	// Every decoded step must still be a real instruction: resync may skip
 	// execution, but it must never fabricate PCs outside the program.
-	for i, pc := range path.PCs {
+	for i, pc := range pcsOf(path) {
 		if _, ok := p.InstAt(pc); !ok {
 			t.Fatalf("step %d: decoded pc %#x is not an instruction", i, pc)
 		}
@@ -135,8 +136,9 @@ func TestLenientResumeAfterGap(t *testing.T) {
 	if first == 0 {
 		t.Fatal("gap at step 0: damage window swallowed the whole prefix")
 	}
+	pcs := pcsOf(path)
 	for i := 0; i < first && i < len(g.pcs[0]); i++ {
-		if path.PCs[i] != g.pcs[0][i] {
+		if pcs[i] != g.pcs[0][i] {
 			t.Fatalf("pre-gap step %d diverged", i)
 		}
 	}

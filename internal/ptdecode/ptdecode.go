@@ -4,11 +4,14 @@
 //
 // The decoder walks the text segment from the stream's anchor TIP,
 // consuming TNT bits at conditional branches and TIP targets at indirect
-// branches, exactly as a hardware PT decoder does. TSC packets do not
-// affect control flow; each becomes a Marker recording the decode position
-// at which it was observed. Because the online driver injects a TSC packet
-// at every stored PEBS sample (PMI-synchronised), these markers let the
-// synthesis stage pin every sample onto the path.
+// branches, exactly as a hardware PT decoder does. It walks a straight-line
+// run at a time: everything from a pc up to the next block-ending
+// instruction executes unconditionally, so packets are consulted only at
+// that terminator, and the path records the run rather than each step.
+// TSC packets do not affect control flow; each becomes a Marker recording
+// the decode position at which it was observed. Because the online driver
+// injects a TSC packet at every stored PEBS sample (PMI-synchronised),
+// these markers let the synthesis stage pin every sample onto the path.
 //
 // Decoding comes in two flavours. Strict decoding (the default) stops at
 // the first malformed packet and returns a *tracefmt.ErrCorrupt. Lenient
@@ -21,6 +24,8 @@ package ptdecode
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"prorace/internal/isa"
 	"prorace/internal/prog"
@@ -51,11 +56,31 @@ type Gap struct {
 	Reason string
 }
 
+// Run is a straight-line stretch of a decoded path: Len instructions at
+// consecutive text-segment indices from Inst, executed as the path steps
+// [Step, Step+Len).
+type Run struct {
+	Step uint32 // first step of the run
+	Inst uint32 // text-segment index of the run's first instruction
+	Len  uint32 // number of steps, at least 1
+}
+
+// End returns the step just past the run.
+func (r Run) End() int { return int(r.Step) + int(r.Len) }
+
 // Path is one thread's decoded execution.
+//
+// The executed instructions are stored run-length encoded. Runs partition
+// the steps [0, Len()) in order, and each is a maximal PC-contiguous
+// stretch: a run ends only where the next step's instruction is not the
+// next one in the text segment (a taken branch, a call, a return, or a
+// lenient re-anchor). Every step names a real instruction of the program:
+// the decoder checks an address before it records a step, so consumers
+// index prog.Program.Insts by a run's Inst without a validity check.
 type Path struct {
 	TID int32
-	// PCs is the sequence of executed instruction addresses.
-	PCs []uint64
+	// Runs is the executed instruction sequence, one entry per run.
+	Runs []Run
 	// Markers are the TSC packets in decode order (ascending StepIndex).
 	Markers []Marker
 	// Truncated is true when decoding stopped because the stream ended
@@ -77,7 +102,17 @@ type Path struct {
 }
 
 // Len returns the number of decoded steps.
-func (p *Path) Len() int { return len(p.PCs) }
+func (p *Path) Len() int {
+	if len(p.Runs) == 0 {
+		return 0
+	}
+	return p.Runs[len(p.Runs)-1].End()
+}
+
+// RunAt returns the index of the run holding step, for 0 <= step < Len().
+func (p *Path) RunAt(step int) int {
+	return sort.Search(len(p.Runs), func(i int) bool { return p.Runs[i].End() > step })
+}
 
 // Degraded reports whether the decode lost any part of the stream.
 func (p *Path) Degraded() bool { return len(p.Gaps) > 0 || p.CorruptPackets > 0 }
@@ -93,7 +128,8 @@ func (p *Path) SkippedBytes() int {
 
 // Options configures a decode.
 type Options struct {
-	// MaxSteps bounds runaway decodes (0 means a large default).
+	// MaxSteps bounds runaway decodes (0 means a large default; values
+	// past math.MaxUint32 are clamped to it, the range of a Run).
 	MaxSteps int
 	// Lenient enables gap recovery instead of first-error abort.
 	Lenient bool
@@ -105,17 +141,50 @@ type Options struct {
 // small no matter what the packet claims.
 const runChunkGroups = 4096
 
+// queue is a FIFO over a reused backing array: pop advances a read index,
+// and the array is rewound once the queue drains, so steady-state decoding
+// stops reallocating it.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+func (q *queue[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *queue[T]) clear()   { q.buf, q.head = q.buf[:0], 0 }
+func (q *queue[T]) release() { q.buf, q.head = nil, 0 }
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.clear()
+	}
+	return v
+}
+
+// runChunk is the size of the chunks the walk collects runs in.
+const runChunk = 4096
+
 // decoder state over one stream.
 type decoder struct {
 	prog    *prog.Program
 	rdr     *tracefmt.PTReader
 	path    *Path
 	lenient bool
-	bits    []bool   // pending TNT outcomes
-	tips    []uint64 // pending TIP targets
-	stack   []uint64 // call stack for RET compression
+	bits    queue[bool]   // pending TNT outcomes
+	tips    queue[uint64] // pending TIP targets
+	stack   []uint64      // call stack for RET compression
 	done    bool
 	lastErr error
+	// steps is the walk's position: how many steps have been recorded.
+	// Markers and gaps take their StepIndex from it.
+	steps int
+	// The walk collects runs in chunks of runChunk: runs is the chunk
+	// being filled (grown by append only while it is the first), full the
+	// chunks before it. Growing never copies the runs collected so far;
+	// finish assembles Path.Runs once, at its exact size.
+	runs []Run
+	full [][]Run
 
 	// pending run-length-encoded TNT state, expanded lazily.
 	runPattern uint8
@@ -153,7 +222,7 @@ func (d *decoder) expandRun() {
 			d.runEi++
 		}
 		for i := uint8(0); i < d.runNBits; i++ {
-			d.bits = append(d.bits, group&(1<<i) != 0)
+			d.bits.push(group&(1<<i) != 0)
 		}
 		d.runIdx++
 	}
@@ -163,8 +232,8 @@ func (d *decoder) expandRun() {
 // clearPending drops all queued decode state; it is poisoned once the
 // stream position is known to be damaged.
 func (d *decoder) clearPending() {
-	d.bits = d.bits[:0]
-	d.tips = d.tips[:0]
+	d.bits.clear()
+	d.tips.clear()
 	d.stack = d.stack[:0]
 	d.runLeft, d.runExc, d.runEi = 0, nil, 0
 }
@@ -173,7 +242,7 @@ func (d *decoder) clearPending() {
 // resync anchor is queued, or the stream ends. TSC packets become markers
 // at the current position.
 func (d *decoder) refill() {
-	for len(d.bits) == 0 && len(d.tips) == 0 && !d.done && !d.anchorOK {
+	for d.bits.len() == 0 && d.tips.len() == 0 && !d.done && !d.anchorOK {
 		if d.runLeft > 0 {
 			if d.draining {
 				d.runLeft = 0 // bits are being discarded anyway
@@ -194,7 +263,7 @@ func (d *decoder) refill() {
 			d.stack = d.stack[:0]
 			pc, skipped, ok := d.rdr.Resync()
 			d.path.Gaps = append(d.path.Gaps, Gap{
-				StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped, Reason: err.Error(),
+				StepIndex: d.steps, Offset: off, Skipped: skipped, Reason: err.Error(),
 			})
 			if !ok {
 				d.done = true
@@ -214,7 +283,7 @@ func (d *decoder) refill() {
 		switch pkt.Kind {
 		case tracefmt.PktTNT, tracefmt.PktTNT6:
 			for i := uint8(0); i < pkt.NBits; i++ {
-				d.bits = append(d.bits, pkt.Bits&(1<<i) != 0)
+				d.bits.push(pkt.Bits&(1<<i) != 0)
 			}
 		case tracefmt.PktTNTRep, tracefmt.PktTNTRepEx:
 			// Each step consumes at most one TNT bit, so a run the walk
@@ -223,13 +292,13 @@ func (d *decoder) refill() {
 			// parsing as a huge repeat count). Resync instead of spinning
 			// the walk for millions of steps on a fiction.
 			if d.lenient && !d.draining &&
-				uint64(pkt.Count)*uint64(pkt.NBits) > uint64(d.maxSteps-len(d.path.PCs)) {
+				uint64(pkt.Count)*uint64(pkt.NBits) > uint64(d.maxSteps-d.steps) {
 				d.path.CorruptPackets++
 				off := d.rdr.Offset()
 				d.stack = d.stack[:0]
 				pc, skipped, ok := d.rdr.Resync()
 				d.path.Gaps = append(d.path.Gaps, Gap{
-					StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped,
+					StepIndex: d.steps, Offset: off, Skipped: skipped,
 					Reason: fmt.Sprintf("TNT run of %d bits exceeds step budget", uint64(pkt.Count)*uint64(pkt.NBits)),
 				})
 				if !ok {
@@ -244,9 +313,9 @@ func (d *decoder) refill() {
 			d.runLeft, d.runIdx = pkt.Count, 0
 			d.runExc, d.runEi = pkt.Exceptions, 0
 		case tracefmt.PktTIP:
-			d.tips = append(d.tips, pkt.Target)
+			d.tips.push(pkt.Target)
 		case tracefmt.PktTSC:
-			d.path.Markers = append(d.path.Markers, Marker{TSC: pkt.TSC, StepIndex: len(d.path.PCs)})
+			d.path.Markers = append(d.path.Markers, Marker{TSC: pkt.TSC, StepIndex: d.steps})
 		case tracefmt.PktPSB:
 			// Sync point. On a clean stream the refill that reads it is
 			// requested by exactly the instruction the encoder anchored it
@@ -255,7 +324,7 @@ func (d *decoder) refill() {
 			if d.lenient && !d.draining && d.walkPC != 0 && pkt.Target != d.walkPC {
 				d.path.CorruptPackets++
 				d.path.Gaps = append(d.path.Gaps, Gap{
-					StepIndex: len(d.path.PCs), Offset: d.rdr.Offset(),
+					StepIndex: d.steps, Offset: d.rdr.Offset(),
 					Reason: fmt.Sprintf("PSB anchor %#x disagrees with walk at %#x", pkt.Target, d.walkPC),
 				})
 				d.stack = d.stack[:0] // the encoder reset its stack at the PSB
@@ -268,28 +337,24 @@ func (d *decoder) refill() {
 
 // nextBit consumes one conditional outcome; ok is false at stream end.
 func (d *decoder) nextBit() (bool, bool) {
-	if len(d.bits) == 0 {
+	if d.bits.len() == 0 {
 		d.refill()
 	}
-	if len(d.bits) == 0 {
+	if d.bits.len() == 0 {
 		return false, false
 	}
-	b := d.bits[0]
-	d.bits = d.bits[1:]
-	return b, true
+	return d.bits.pop(), true
 }
 
 // nextTIP consumes one indirect target; ok is false at stream end.
 func (d *decoder) nextTIP() (uint64, bool) {
-	if len(d.tips) == 0 {
+	if d.tips.len() == 0 {
 		d.refill()
 	}
-	if len(d.tips) == 0 {
+	if d.tips.len() == 0 {
 		return 0, false
 	}
-	t := d.tips[0]
-	d.tips = d.tips[1:]
-	return t, true
+	return d.tips.pop(), true
 }
 
 // reanchor attempts lenient recovery after the walk failed to get the
@@ -314,7 +379,7 @@ func (d *decoder) reanchor(reason string) (uint64, bool) {
 	d.clearPending()
 	pc, skipped, ok := d.rdr.Resync()
 	d.path.Gaps = append(d.path.Gaps, Gap{
-		StepIndex: len(d.path.PCs), Offset: off, Skipped: skipped, Reason: reason,
+		StepIndex: d.steps, Offset: off, Skipped: skipped, Reason: reason,
 	})
 	if !ok {
 		d.done = true
@@ -332,40 +397,26 @@ func Decode(p *prog.Program, tid int32, stream []byte, maxSteps int) (*Path, err
 
 // DecodeWith reconstructs the path of one thread from its packet stream.
 func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 100_000_000
-	}
-	d := &decoder{
-		prog:     p,
-		rdr:      tracefmt.NewPTReader(stream),
-		path:     &Path{TID: tid},
-		lenient:  opts.Lenient,
-		maxSteps: maxSteps,
-	}
-	// Anchor: the stream must start with (TSC,) TIP carrying the entry.
-	pc, ok := d.nextTIP()
+	d := newDecoder(p, tid, stream, opts)
+	pc, ok := d.anchorPC()
 	if !ok {
-		if pc2, ok2 := d.reanchor("missing anchor TIP"); ok2 {
-			pc = pc2
-		} else {
-			if d.lastErr != nil {
-				return nil, fmt.Errorf("ptdecode: tid %d: %w", tid, d.lastErr)
-			}
-			return d.path, nil // empty stream: thread traced nothing
+		if d.lastErr != nil {
+			return nil, fmt.Errorf("ptdecode: tid %d: %w", tid, d.lastErr)
 		}
+		return d.path, nil // empty stream: thread traced nothing
 	}
 
-	for len(d.path.PCs) < maxSteps {
-		in, okInst := p.InstAt(pc)
-		if !okInst {
+	insts := p.Insts
+	for d.steps < d.maxSteps {
+		idx, okIdx := isa.AddrToIndex(pc)
+		if !okIdx || idx >= len(insts) {
 			if pc == 0 {
 				// A return from a thread's outermost frame targets address
 				// 0 — the machine's thread-exit convention, encoded as a
 				// TIP to 0. This is the normal end of a spawned thread's
 				// trace, not a wild jump: end cleanly in both modes so a
 				// lenient decode of a clean stream records no gap.
-				d.finishTailMarkers()
+				d.finish()
 				return d.path, d.lastErr
 			}
 			if pc2, okR := d.reanchor(fmt.Sprintf("wild jump to %#x", pc)); okR {
@@ -378,9 +429,24 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			d.path.Truncated = true
 			break
 		}
-		d.walkPC = pc
-		d.path.PCs = append(d.path.PCs, pc)
 
+		// Everything from idx through the next terminator executes
+		// unconditionally.
+		term := p.NextTerminator(idx)
+		n := min(term+1, len(insts)) - idx
+		if left := d.maxSteps - d.steps; n > left {
+			d.appendRun(idx, left) // the budget ends the walk mid-run
+			break
+		}
+		d.appendRun(idx, n)
+		pc = isa.IndexToAddr(term)
+		if term == len(insts) {
+			// No terminator before the end of the text segment: the walk
+			// runs off it, which the check above treats as a wild jump.
+			continue
+		}
+
+		in := insts[term]
 		switch {
 		case in.IsCondBranch():
 			taken, okBit := d.nextBit()
@@ -389,7 +455,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 					pc = pc2
 					continue
 				}
-				d.finishTailMarkers()
+				d.finish()
 				d.path.Truncated = true
 				return d.path, d.lastErr
 			}
@@ -411,7 +477,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 					pc = pc2
 					continue
 				}
-				d.finishTailMarkers()
+				d.finish()
 				d.path.Truncated = true
 				return d.path, d.lastErr
 			}
@@ -421,11 +487,11 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			// (target = tracked call stack top) or a TIP. Stream order
 			// disambiguates: whichever the next pending item is belongs
 			// to this return.
-			if len(d.bits) == 0 && len(d.tips) == 0 {
+			if d.bits.len() == 0 && d.tips.len() == 0 {
 				d.refill()
 			}
 			switch {
-			case len(d.bits) > 0:
+			case d.bits.len() > 0:
 				taken, _ := d.nextBit()
 				n := len(d.stack)
 				if !taken || n == 0 {
@@ -435,13 +501,13 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 						pc = pc2
 						continue
 					}
-					d.finishTailMarkers()
+					d.finish()
 					d.path.Truncated = true
 					return d.path, d.lastErr
 				}
 				pc = d.stack[n-1]
 				d.stack = d.stack[:n-1]
-			case len(d.tips) > 0:
+			case d.tips.len() > 0:
 				target, _ := d.nextTIP()
 				pc = target
 				d.stack = d.stack[:0] // encoder reset its stack too
@@ -450,7 +516,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 					pc = pc2
 					continue
 				}
-				d.finishTailMarkers()
+				d.finish()
 				d.path.Truncated = true
 				return d.path, d.lastErr
 			}
@@ -461,35 +527,89 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 					pc = pc2
 					continue
 				}
-				d.finishTailMarkers()
+				d.finish()
 				d.path.Truncated = true
 				return d.path, d.lastErr
 			}
 			pc = target
-		case in.Op == isa.HALT, in.Op == isa.SYSCALL && in.Sys == isa.SysExit:
-			d.finishTailMarkers()
+		default: // HALT, or the exit syscall
+			d.finish()
 			return d.path, d.lastErr
-		default:
-			pc += isa.InstSize
 		}
 	}
-	d.finishTailMarkers()
+	d.finish()
 	return d.path, d.lastErr
 }
 
-// finishTailMarkers drains any packets left after the walk stops so trailing
-// TSC markers are recorded at the final position.
-func (d *decoder) finishTailMarkers() {
+// newDecoder prepares a decode of one stream.
+func newDecoder(p *prog.Program, tid int32, stream []byte, opts Options) *decoder {
+	maxSteps := opts.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = 100_000_000
+	}
+	if uint64(maxSteps) > math.MaxUint32 {
+		maxSteps = math.MaxUint32 // a Run's steps are 32-bit
+	}
+	return &decoder{
+		prog:     p,
+		rdr:      tracefmt.NewPTReader(stream),
+		path:     &Path{TID: tid},
+		lenient:  opts.Lenient,
+		maxSteps: maxSteps,
+	}
+}
+
+// anchorPC consumes the walk's starting pc: the stream must start with
+// (TSC,) TIP carrying the entry. ok is false when there is nothing to walk:
+// an empty stream, or a corrupt one (lastErr set in strict mode).
+func (d *decoder) anchorPC() (uint64, bool) {
+	if pc, ok := d.nextTIP(); ok {
+		return pc, true
+	}
+	return d.reanchor("missing anchor TIP")
+}
+
+// appendRun records n steps executing the instructions from text index idx
+// on, extending the last run when they continue it.
+func (d *decoder) appendRun(idx, n int) {
+	if k := len(d.runs) - 1; k >= 0 && int(d.runs[k].Inst)+int(d.runs[k].Len) == idx {
+		d.runs[k].Len += uint32(n)
+	} else {
+		if len(d.runs) == runChunk {
+			d.full = append(d.full, d.runs)
+			d.runs = make([]Run, 0, runChunk)
+		}
+		d.runs = append(d.runs, Run{Step: uint32(d.steps), Inst: uint32(idx), Len: uint32(n)})
+	}
+	d.steps += n
+	// The last step requests the next packet; a PSB read for it is checked
+	// against this pc.
+	d.walkPC = isa.IndexToAddr(idx + n - 1)
+}
+
+// finish ends the walk: it assembles Path.Runs and drains any packets left
+// so trailing TSC markers are recorded at the final position.
+func (d *decoder) finish() {
+	if len(d.full) == 0 {
+		d.path.Runs = d.runs
+	} else {
+		d.path.Runs = make([]Run, 0, len(d.full)*runChunk+len(d.runs))
+		for _, c := range d.full {
+			d.path.Runs = append(d.path.Runs, c...)
+		}
+		d.path.Runs = append(d.path.Runs, d.runs...)
+	}
+	d.runs, d.full = nil, nil
 	d.draining = true
 	d.anchorOK = false
 	d.runLeft, d.runExc, d.runEi = 0, nil, 0
 	for !d.done {
-		d.bits = d.bits[:0]
-		d.tips = d.tips[:0]
+		d.bits.clear()
+		d.tips.clear()
 		d.refill()
 	}
-	d.bits = nil
-	d.tips = nil
+	d.bits.release()
+	d.tips.release()
 }
 
 // DecodeAll decodes every thread stream of a trace in strict mode.

@@ -113,10 +113,11 @@ func TestDecodeMatchesExecutionExactly(t *testing.T) {
 	if path.Len() != len(want) {
 		t.Fatalf("decoded %d steps, executed %d", path.Len(), len(want))
 	}
+	pcs := pcsOf(path)
 	for i := range want {
-		if path.PCs[i] != want[i] {
+		if pcs[i] != want[i] {
 			t.Fatalf("step %d: decoded %#x, executed %#x (%v vs %v)",
-				i, path.PCs[i], want[i], p.MustInstAt(path.PCs[i]), p.MustInstAt(want[i]))
+				i, pcs[i], want[i], p.MustInstAt(pcs[i]), p.MustInstAt(want[i]))
 		}
 	}
 	if path.Truncated {
@@ -158,8 +159,9 @@ func TestDecodeMultiThreaded(t *testing.T) {
 		if path.Len() != len(want) {
 			t.Fatalf("tid %d: decoded %d steps, executed %d", tid, path.Len(), len(want))
 		}
+		pcs := pcsOf(path)
 		for i := range want {
-			if path.PCs[i] != want[i] {
+			if pcs[i] != want[i] {
 				t.Fatalf("tid %d step %d mismatch", tid, i)
 			}
 		}
@@ -180,6 +182,7 @@ func TestMarkersPinSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := paths[0]
+	pcs := pcsOf(path)
 	// Every stored sample must have a marker with its exact TSC, and the
 	// sample IP must appear in the straight-line run ending at the
 	// marker's step index.
@@ -198,11 +201,11 @@ func TestMarkersPinSamples(t *testing.T) {
 		// current basic-block run (no intervening branch).
 		idx := -1
 		for i := found.StepIndex - 1; i >= 0; i-- {
-			if path.PCs[i] == rec.IP {
+			if pcs[i] == rec.IP {
 				idx = i
 				break
 			}
-			if p.MustInstAt(path.PCs[i]).IsBranch() && i < found.StepIndex-1 {
+			if p.MustInstAt(pcs[i]).IsBranch() && i < found.StepIndex-1 {
 				break
 			}
 		}

@@ -34,13 +34,15 @@ func (e *Engine) backwardPass(ps *pathState) {
 // of step hi (the sample's register file) and is transformed into earlier
 // pre-states step by step.
 func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) {
-	pcs := ps.tt.Path.PCs
+	runs := ps.tt.Path.Runs
+	ri := ps.tt.Path.RunAt(hi)
 	var regBuf [2]isa.Reg // stack scratch for AppendDefs/AppendAddrRegs
 	for i := hi; i >= lo; i-- {
-		in, okInst := e.p.InstAt(pcs[i])
-		if !okInst {
-			break
+		if i < int(runs[ri].Step) {
+			ri--
 		}
+		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
+		in := e.p.Insts[idx]
 
 		// Derive the pre-state of step i from its post-state in cur —
 		// but first record, for each register this step defines and whose
@@ -60,7 +62,7 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) {
 		// cur is now the pre-state of step i: evaluate the memory operand.
 		// Step hi itself is the sample — already known.
 		if i < hi && in.IsMemAccess() && !ps.known[i] {
-			if addr, ok := addrOf(in, &cur, pcs[i]); ok {
+			if addr, ok := addrOf(in, &cur, isa.IndexToAddr(idx)); ok {
 				ps.known[i] = true
 				ps.origin[i] = OriginBackward
 				ps.addrs[i] = addr

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"prorace/internal/isa"
@@ -43,10 +44,6 @@ type pathState struct {
 	// per-step map lookups dominated the replay CPU profile besides.
 	learnedIdx   []int32
 	learnedFacts []regFacts
-	// sampleAt holds each step's PEBS record, nil when unsampled.
-	sampleAt []*tracefmt.PEBSRecord
-	// syncAt holds each step's pinned synchronization record, nil if none.
-	syncAt []*tracefmt.SyncRecord
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
@@ -79,8 +76,6 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	ps.addrs = resetSlice(ps.addrs, n)
 	ps.fwdAvail = resetSlice(ps.fwdAvail, n)
 	ps.learnedIdx = resetSlice(ps.learnedIdx, n)
-	ps.sampleAt = resetSlice(ps.sampleAt, n)
-	ps.syncAt = resetSlice(ps.syncAt, n)
 	ps.learnedFacts = ps.learnedFacts[:0]
 	if ps.mem == nil {
 		ps.mem = map[uint64]uint64{}
@@ -90,18 +85,65 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	}
 	ps.logLoads = logLoads
 	ps.recovered = 0
-	for i := range tt.Samples {
-		s := &tt.Samples[i]
-		if s.StepIndex >= 0 && s.StepIndex < n {
-			ps.sampleAt[s.StepIndex] = &s.Rec
+}
+
+// sampleCursor walks a thread's pinned samples in step order alongside a
+// pass over the path; syncCursor does the same for its sync records. Both
+// rely on the synthesis order: samples ascend by StepIndex, and so do the
+// pinned sync records (StepIndex >= 0) among the unpinned ones.
+type sampleCursor struct {
+	s    []synthesis.Sample
+	k    int
+	next int // StepIndex of s[k]; math.MaxInt past the end
+}
+
+func newSampleCursor(s []synthesis.Sample) sampleCursor {
+	c := sampleCursor{s: s, next: math.MaxInt}
+	if len(s) > 0 {
+		c.next = s[0].StepIndex
+	}
+	return c
+}
+
+// at returns the record pinned to step, nil if none. Steps must be asked
+// in ascending order. When several records share the step, the last one
+// wins. Most steps carry no sample, so that case is one comparison.
+func (c *sampleCursor) at(step int) *tracefmt.PEBSRecord {
+	if step < c.next {
+		return nil
+	}
+	return c.seek(step)
+}
+
+func (c *sampleCursor) seek(step int) *tracefmt.PEBSRecord {
+	var rec *tracefmt.PEBSRecord
+	for ; c.k < len(c.s) && c.s[c.k].StepIndex <= step; c.k++ {
+		if c.s[c.k].StepIndex == step {
+			rec = &c.s[c.k].Rec
 		}
 	}
-	for i := range tt.Sync {
-		s := &tt.Sync[i]
-		if s.StepIndex >= 0 && s.StepIndex < n {
-			ps.syncAt[s.StepIndex] = &s.Rec
+	c.next = math.MaxInt
+	if c.k < len(c.s) {
+		c.next = c.s[c.k].StepIndex
+	}
+	return rec
+}
+
+type syncCursor struct {
+	s []synthesis.SyncStep
+	k int
+}
+
+// at is sampleCursor.at for sync records. It is asked only at syscall
+// steps, so it needs no fast path.
+func (c *syncCursor) at(step int) *tracefmt.SyncRecord {
+	var rec *tracefmt.SyncRecord
+	for ; c.k < len(c.s) && c.s[c.k].StepIndex <= step; c.k++ {
+		if c.s[c.k].StepIndex == step {
+			rec = &c.s[c.k].Rec
 		}
 	}
+	return rec
 }
 
 // learnedAt returns the facts recorded at step, or nil.
@@ -128,8 +170,6 @@ func (ps *pathState) learnedSlot(step int) *regFacts {
 // never pins decoded paths or samples beyond its use.
 func (ps *pathState) release() {
 	ps.tt = nil
-	clear(ps.sampleAt)
-	clear(ps.syncAt)
 	clear(ps.mem)
 	clear(ps.loads)
 }
@@ -160,9 +200,11 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 	ps.reset(tt, logLoads)
 	var st Stats
 	st.PathSteps = tt.Path.Len()
-	for _, pc := range tt.Path.PCs {
-		if in, ok := e.p.InstAt(pc); ok && in.IsMemAccess() {
-			st.MemSteps++
+	for _, r := range tt.Path.Runs {
+		for _, in := range e.p.Insts[r.Inst : r.Inst+r.Len] {
+			if in.IsMemAccess() {
+				st.MemSteps++
+			}
 		}
 	}
 
@@ -247,129 +289,130 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 	hasInvalid := len(invalid) > 0
 	invalidAddr := func(addr uint64) bool { return hasInvalid && invalid[addr] }
 
-	for i, pc := range ps.tt.Path.PCs {
-		// Apply backward-derived facts for this step's pre-state.
-		if facts := ps.learnedAt(i); facts != nil {
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if facts.avail&(1<<r) != 0 && !rf.has(r) {
-					rf.set(r, facts.val[r])
+	samples := newSampleCursor(ps.tt.Samples)
+	syncs := syncCursor{s: ps.tt.Sync}
+	for _, run := range ps.tt.Path.Runs {
+		for k, in := range e.p.Insts[run.Inst : run.Inst+run.Len] {
+			i := int(run.Step) + k
+			pc := isa.IndexToAddr(int(run.Inst) + k)
+			// Apply backward-derived facts for this step's pre-state.
+			if facts := ps.learnedAt(i); facts != nil {
+				for r := isa.Reg(0); r < isa.NumRegs; r++ {
+					if facts.avail&(1<<r) != 0 && !rf.has(r) {
+						rf.set(r, facts.val[r])
+					}
 				}
 			}
-		}
-		ps.fwdAvail[i] = rf.avail
+			ps.fwdAvail[i] = rf.avail
 
-		in, okInst := e.p.InstAt(pc)
-		if !okInst {
-			break
-		}
-
-		// A sampled step: the record supplies the exact address and the
-		// full post-retirement register file.
-		if rec := ps.sampleAt[i]; rec != nil {
-			if !ps.known[i] {
-				ps.known[i] = true
-				ps.origin[i] = OriginSampled
-				ps.addrs[i] = rec.Addr
-				ps.recovered++
-			}
-			rf = regFileFromSample(rec)
-			if e.emulateMemory && !invalidAddr(rec.Addr) {
-				if in.Op == isa.LOAD {
-					// The loaded value is the post-state of rd.
-					mem[rec.Addr] = rf.get(in.Rd)
-				} else if in.Op == isa.STORE {
-					mem[rec.Addr] = rf.get(in.Rs)
+			// A sampled step: the record supplies the exact address and the
+			// full post-retirement register file.
+			if rec := samples.at(i); rec != nil {
+				if !ps.known[i] {
+					ps.known[i] = true
+					ps.origin[i] = OriginSampled
+					ps.addrs[i] = rec.Addr
+					ps.recovered++
 				}
+				rf = regFileFromSample(rec)
+				if e.emulateMemory && !invalidAddr(rec.Addr) {
+					if in.Op == isa.LOAD {
+						// The loaded value is the post-state of rd.
+						mem[rec.Addr] = rf.get(in.Rd)
+					} else if in.Op == isa.STORE {
+						mem[rec.Addr] = rf.get(in.Rs)
+					}
+				}
+				continue
 			}
-			continue
-		}
 
-		switch in.Op {
-		case isa.LOAD, isa.STORE, isa.LEA:
-			addr, okAddr := addrOf(in, &rf, pc)
-			if okAddr && in.IsMemAccess() && !ps.known[i] {
-				ps.known[i] = true
-				ps.origin[i] = OriginForward
-				ps.addrs[i] = addr
-				ps.recovered++
-			}
 			switch in.Op {
-			case isa.LOAD:
-				v, hit := mem[addr]
-				if okAddr && ps.logLoads {
-					en := ps.loads[addr]
-					en.loads++
-					en.memHit = en.memHit || hit
-					ps.loads[addr] = en
+			case isa.LOAD, isa.STORE, isa.LEA:
+				addr, okAddr := addrOf(in, &rf, pc)
+				if okAddr && in.IsMemAccess() && !ps.known[i] {
+					ps.known[i] = true
+					ps.origin[i] = OriginForward
+					ps.addrs[i] = addr
+					ps.recovered++
 				}
-				if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
+				switch in.Op {
+				case isa.LOAD:
+					v, hit := mem[addr]
+					if okAddr && ps.logLoads {
+						en := ps.loads[addr]
+						en.loads++
+						en.memHit = en.memHit || hit
+						ps.loads[addr] = en
+					}
+					if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
+						rf.set(in.Rd, v)
+					} else {
+						if okAddr && invalidAddr(addr) {
+							st.InvalidHits++
+						}
+						rf.clear(in.Rd)
+					}
+				case isa.STORE:
+					if !okAddr {
+						// A store to an unknown location may clobber anything:
+						// conservatively invalidate the emulated memory (§5.1).
+						memDrop()
+					} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
+						mem[addr] = rf.get(in.Rs)
+					} else {
+						delete(mem, addr)
+					}
+				case isa.LEA:
+					if okAddr {
+						rf.set(in.Rd, addr)
+					} else {
+						rf.clear(in.Rd)
+					}
+				}
+
+			case isa.MOVI:
+				rf.set(in.Rd, uint64(in.Imm))
+			case isa.MOV:
+				if rf.has(in.Rs) {
+					rf.set(in.Rd, rf.get(in.Rs))
+				} else {
+					rf.clear(in.Rd)
+				}
+			case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
+				if rf.has(in.Rd) && rf.has(in.Rs) {
+					v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
 					rf.set(in.Rd, v)
 				} else {
-					if okAddr && invalidAddr(addr) {
-						st.InvalidHits++
+					rf.clear(in.Rd)
+				}
+			case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
+				if rf.has(in.Rd) {
+					v, _ := in.ALU(rf.get(in.Rd), 0)
+					rf.set(in.Rd, v)
+				} else {
+					rf.clear(in.Rd)
+				}
+			case isa.SYSCALL:
+				// Emulated memory cannot be trusted across a syscall (§5.1).
+				memDrop()
+				if rec := syncs.at(i); rec != nil {
+					switch rec.Kind {
+					case tracefmt.SyncMalloc, tracefmt.SyncThreadCreate:
+						// The sync log records the result, so the replay can
+						// restore it — this is how heap pointers obtained from
+						// malloc become available offline.
+						rf.set(isa.R0, rec.Addr)
+					case tracefmt.SyncThreadJoin:
+						rf.clear(isa.R0) // exit code not logged
+					default:
+						rf.set(isa.R0, 0)
 					}
-					rf.clear(in.Rd)
-				}
-			case isa.STORE:
-				if !okAddr {
-					// A store to an unknown location may clobber anything:
-					// conservatively invalidate the emulated memory (§5.1).
-					memDrop()
-				} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
-					mem[addr] = rf.get(in.Rs)
 				} else {
-					delete(mem, addr)
+					rf.clear(isa.R0)
 				}
-			case isa.LEA:
-				if okAddr {
-					rf.set(in.Rd, addr)
-				} else {
-					rf.clear(in.Rd)
-				}
+			default:
+				// CMP/CMPI set flags only; branches are path-driven.
 			}
-
-		case isa.MOVI:
-			rf.set(in.Rd, uint64(in.Imm))
-		case isa.MOV:
-			if rf.has(in.Rs) {
-				rf.set(in.Rd, rf.get(in.Rs))
-			} else {
-				rf.clear(in.Rd)
-			}
-		case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
-			if rf.has(in.Rd) && rf.has(in.Rs) {
-				v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
-				rf.set(in.Rd, v)
-			} else {
-				rf.clear(in.Rd)
-			}
-		case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-			if rf.has(in.Rd) {
-				v, _ := in.ALU(rf.get(in.Rd), 0)
-				rf.set(in.Rd, v)
-			} else {
-				rf.clear(in.Rd)
-			}
-		case isa.SYSCALL:
-			// Emulated memory cannot be trusted across a syscall (§5.1).
-			memDrop()
-			if rec := ps.syncAt[i]; rec != nil {
-				switch rec.Kind {
-				case tracefmt.SyncMalloc, tracefmt.SyncThreadCreate:
-					// The sync log records the result, so the replay can
-					// restore it — this is how heap pointers obtained from
-					// malloc become available offline.
-					rf.set(isa.R0, rec.Addr)
-				case tracefmt.SyncThreadJoin:
-					rf.clear(isa.R0) // exit code not logged
-				default:
-					rf.set(isa.R0, 0)
-				}
-			} else {
-				rf.clear(isa.R0)
-			}
-		default:
-			// CMP/CMPI set flags only; branches are path-driven.
 		}
 	}
 }
@@ -379,41 +422,34 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 // Stats.MemSteps upper bound), so appending never regrows it.
 func (e *Engine) collect(ps *pathState, st *Stats) []Access {
 	out := make([]Access, 0, ps.recovered)
-	for i, known := range ps.known {
-		if !known {
-			continue
+	samples := newSampleCursor(ps.tt.Samples)
+	for _, run := range ps.tt.Path.Runs {
+		for k, in := range e.p.Insts[run.Inst : run.Inst+run.Len] {
+			i := int(run.Step) + k
+			if !ps.known[i] || !in.IsMemAccess() {
+				continue
+			}
+			a := Access{
+				TID:    ps.tt.TID,
+				PC:     isa.IndexToAddr(int(run.Inst) + k),
+				Addr:   ps.addrs[i],
+				Store:  in.IsStore(),
+				Step:   i,
+				Origin: ps.origin[i],
+			}
+			switch ps.origin[i] {
+			case OriginSampled:
+				a.TSC = samples.at(i).TSC
+				st.Sampled++
+			case OriginForward:
+				a.TSC = ps.tt.EstimateTSC(i)
+				st.Forward++
+			case OriginBackward:
+				a.TSC = ps.tt.EstimateTSC(i)
+				st.Backward++
+			}
+			out = append(out, a)
 		}
-		pc := ps.tt.Path.PCs[i]
-		in, ok := e.p.InstAt(pc)
-		if !ok {
-			// A gap-recovered path can carry a few desynced steps around a
-			// skipped region; an address outside the text segment yields no
-			// access rather than aborting the thread.
-			continue
-		}
-		if !in.IsMemAccess() {
-			continue
-		}
-		a := Access{
-			TID:    ps.tt.TID,
-			PC:     pc,
-			Addr:   ps.addrs[i],
-			Store:  in.IsStore(),
-			Step:   i,
-			Origin: ps.origin[i],
-		}
-		switch ps.origin[i] {
-		case OriginSampled:
-			a.TSC = ps.sampleAt[i].TSC
-			st.Sampled++
-		case OriginForward:
-			a.TSC = ps.tt.EstimateTSC(i)
-			st.Forward++
-		case OriginBackward:
-			a.TSC = ps.tt.EstimateTSC(i)
-			st.Backward++
-		}
-		out = append(out, a)
 	}
 	return out
 }

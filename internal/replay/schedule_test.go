@@ -157,15 +157,13 @@ func TestSecondForwardPassResolvesThroughEmulatedMemory(t *testing.T) {
 	slot, buf, out := p.MustLookup("slot").Addr, p.MustLookup("buf").Addr, p.MustLookup("out").Addr
 
 	const sampled, deref = 6, 4
-	entry := p.MustLookup("main").Addr
-	pcs := make([]uint64, sampled+1)
-	for i := range pcs {
-		pcs[i] = entry + uint64(i)*isa.InstSize
-	}
-	rec := tracefmt.PEBSRecord{TSC: 100, IP: pcs[sampled], Addr: out, Store: true}
+	// The path is main's first sampled+1 instructions: one straight-line run.
+	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
+	path := &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: uint32(entry), Len: sampled + 1}}}
+	rec := tracefmt.PEBSRecord{TSC: 100, IP: isa.IndexToAddr(entry + sampled), Addr: out, Store: true}
 	rec.Regs[isa.R4], rec.Regs[isa.R6] = buf, slot
 	tt := &synthesis.ThreadTrace{
-		Path:    &ptdecode.Path{PCs: pcs},
+		Path:    path,
 		Samples: []synthesis.Sample{{Rec: rec, StepIndex: sampled}},
 	}
 

@@ -46,7 +46,8 @@ type ThreadTrace struct {
 	// Samples are the pinned PEBS records, ascending by StepIndex.
 	Samples []Sample
 	// Sync are the thread's synchronization records, pinned where
-	// possible, in TSC order.
+	// possible, in TSC order. The pinned ones (StepIndex >= 0) ascend by
+	// StepIndex: they zip with the path's syscall steps in order.
 	Sync []SyncStep
 	// UnpinnedSamples counts PEBS records that could not be located on the
 	// path (decoder truncation, marker loss); they are still usable as
@@ -181,23 +182,30 @@ func pinSamples(p *prog.Program, tt *ThreadTrace, recs []tracefmt.PEBSRecord) {
 	})
 }
 
-// scanBack searches the straight-line run ending at stepIndex for the
-// sampled IP. Within a run each PC occurs at most once, so the result is
-// exact.
+// scanBack searches the straight-line stretch ending at stepIndex for the
+// sampled IP: back from the step before stepIndex, stopping at the first
+// earlier branch. Within such a stretch each PC occurs at most once, so the
+// result is exact. The stretch is a matter of steps, not of the path's
+// runs: a lenient re-anchor starts a new run after a step that is not a
+// branch, and the search continues across it.
 func scanBack(p *prog.Program, path *ptdecode.Path, stepIndex int, ip uint64) (int, bool) {
-	hi := stepIndex - 1
-	if hi >= len(path.PCs) {
-		hi = len(path.PCs) - 1
+	hi := min(stepIndex-1, path.Len()-1)
+	want, ok := isa.AddrToIndex(ip)
+	if hi < 0 || !ok {
+		return 0, false // no step, or an IP no step can hold
 	}
+	runs := path.Runs
+	ri := path.RunAt(hi)
 	for i := hi; i >= 0; i-- {
-		if path.PCs[i] == ip {
+		if i < int(runs[ri].Step) {
+			ri--
+		}
+		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
+		if idx == want {
 			return i, true
 		}
-		if i < hi {
-			in, ok := p.InstAt(path.PCs[i])
-			if !ok || in.IsBranch() {
-				break
-			}
+		if i < hi && p.Insts[idx].IsBranch() {
+			break
 		}
 	}
 	return 0, false
@@ -212,13 +220,14 @@ func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 		kind tracefmt.SyncKind
 	}
 	var steps []pathSys
-	for i, pc := range tt.Path.PCs {
-		in, ok := p.InstAt(pc)
-		if !ok || in.Op != isa.SYSCALL {
-			continue
-		}
-		if k, traced := syncKindOf(in.Sys); traced {
-			steps = append(steps, pathSys{idx: i, kind: k})
+	for _, r := range tt.Path.Runs {
+		for k, in := range p.Insts[r.Inst : r.Inst+r.Len] {
+			if in.Op != isa.SYSCALL {
+				continue
+			}
+			if kind, traced := syncKindOf(in.Sys); traced {
+				steps = append(steps, pathSys{idx: int(r.Step) + k, kind: kind})
+			}
 		}
 	}
 	si := 0

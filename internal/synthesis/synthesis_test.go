@@ -8,6 +8,7 @@ import (
 	"prorace/internal/machine"
 	"prorace/internal/pmu/driver"
 	"prorace/internal/prog"
+	"prorace/internal/ptdecode"
 	"prorace/internal/tracefmt"
 )
 
@@ -71,9 +72,9 @@ func TestSamplesPinnedExactly(t *testing.T) {
 		total += len(tr.PEBS[tid])
 		pinned += len(tt.Samples)
 		for _, s := range tt.Samples {
-			if tt.Path.PCs[s.StepIndex] != s.Rec.IP {
+			if pc := pcAt(tt.Path, s.StepIndex); pc != s.Rec.IP {
 				t.Fatalf("tid %d: sample pinned to step %d whose pc %#x != sample IP %#x",
-					tid, s.StepIndex, tt.Path.PCs[s.StepIndex], s.Rec.IP)
+					tid, s.StepIndex, pc, s.Rec.IP)
 			}
 			in := p.MustInstAt(s.Rec.IP)
 			if !in.IsMemAccess() {
@@ -111,7 +112,7 @@ func TestSyncRecordsZipWithPath(t *testing.T) {
 				t.Errorf("tid %d: %v record not pinned", tid, ss.Rec.Kind)
 				continue
 			}
-			in := p.MustInstAt(tt.Path.PCs[ss.StepIndex])
+			in := p.MustInstAt(pcAt(tt.Path, ss.StepIndex))
 			if in.Op != isa.SYSCALL {
 				t.Errorf("tid %d: %v pinned to non-syscall %v", tid, ss.Rec.Kind, in)
 			}
@@ -192,6 +193,12 @@ func TestSynthesizeWithoutPT(t *testing.T) {
 	}
 }
 
+// pcAt returns the address of the instruction a path executes at step.
+func pcAt(path *ptdecode.Path, step int) uint64 {
+	r := path.Runs[path.RunAt(step)]
+	return isa.IndexToAddr(int(r.Inst) + step - int(r.Step))
+}
+
 // mustBuild finalises a test program; the inputs are static, so a build
 // error means the test itself is broken.
 func mustBuild(b *asm.Builder) *prog.Program {
@@ -200,4 +207,41 @@ func mustBuild(b *asm.Builder) *prog.Program {
 		panic(err)
 	}
 	return p
+}
+
+// TestScanBackCrossesReanchor: a lenient re-anchor starts a new run after
+// a step that is not a branch. scanBack searches by steps, so it looks
+// past that run boundary and stops only at a branch.
+func TestScanBackCrossesReanchor(t *testing.T) {
+	b := asm.New("reanchor")
+	b.Global("g", 8)
+	m := b.Func("main")
+	m.Load(isa.R1, asm.Global("g", 0)) // 0
+	m.AddI(isa.R1, 1)                  // 1
+	m.Jmp("next")                      // 2: a branch
+	m.Label("next")
+	m.Load(isa.R2, asm.Global("g", 0)) // 3
+	m.AddI(isa.R2, 1)                  // 4
+	m.AddI(isa.R2, 1)                  // 5
+	m.AddI(isa.R2, 1)                  // 6
+	m.Exit(0)
+	p := mustBuild(b)
+	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
+	at := func(k int) uint32 { return uint32(entry + k) }
+	// Steps 0-1 run instructions 3-4; a re-anchor then resumes at 6.
+	path := &ptdecode.Path{Runs: []ptdecode.Run{
+		{Step: 0, Inst: at(3), Len: 2},
+		{Step: 2, Inst: at(6), Len: 1},
+	}}
+	if step, ok := scanBack(p, path, 3, isa.IndexToAddr(int(at(3)))); !ok || step != 0 {
+		t.Fatalf("scanBack across the re-anchor = %d, %v; want step 0", step, ok)
+	}
+	// A branch still ends the search: instructions 0-2 then 3-4.
+	path = &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: at(0), Len: 5}}}
+	if _, ok := scanBack(p, path, 5, isa.IndexToAddr(int(at(0)))); ok {
+		t.Fatal("scanBack searched past a branch")
+	}
+	if step, ok := scanBack(p, path, 5, isa.IndexToAddr(int(at(3)))); !ok || step != 3 {
+		t.Fatalf("scanBack = %d, %v; want step 3", step, ok)
+	}
 }
