@@ -139,6 +139,23 @@ func (p *Program) NextTerminator(idx int) int {
 	return int(p.termIdx[idx])
 }
 
+// MemAccessesIn returns how many of the instructions at indexes [lo, hi)
+// access memory (isa.Inst.IsMemAccess), from a per-program prefix count,
+// so a straight-line run's memory steps cost two lookups. It is safe for
+// concurrent use.
+func (p *Program) MemAccessesIn(lo, hi int) int {
+	p.memOnce.Do(func() {
+		p.memPrefix = make([]int32, len(p.Insts)+1)
+		for k, in := range p.Insts {
+			p.memPrefix[k+1] = p.memPrefix[k]
+			if in.IsMemAccess() {
+				p.memPrefix[k+1]++
+			}
+		}
+	})
+	return int(p.memPrefix[hi] - p.memPrefix[lo])
+}
+
 // BlockContaining returns the basic block covering the instruction address.
 func (p *Program) BlockContaining(addr uint64) (Block, bool) {
 	idx, ok := isa.AddrToIndex(addr)

@@ -56,6 +56,8 @@ type Program struct {
 	funcsByAd  []Symbol // function symbols sorted by address
 	termOnce   sync.Once
 	termIdx    []int32 // instruction index -> next block-ending instruction
+	memOnce    sync.Once
+	memPrefix  []int32 // k -> memory-access instructions among Insts[:k]
 }
 
 // TextEnd returns the first address past the text segment.

@@ -197,6 +197,23 @@ func TestTextRegionAndDensity(t *testing.T) {
 	}
 }
 
+func TestMemAccessesIn(t *testing.T) {
+	p := tinyProgram()
+	for lo := 0; lo <= len(p.Insts); lo++ {
+		for hi := lo; hi <= len(p.Insts); hi++ {
+			want := 0
+			for _, in := range p.Insts[lo:hi] {
+				if in.IsMemAccess() {
+					want++
+				}
+			}
+			if got := p.MemAccessesIn(lo, hi); got != want {
+				t.Errorf("MemAccessesIn(%d, %d) = %d, want %d", lo, hi, got, want)
+			}
+		}
+	}
+}
+
 func TestImageRoundTrip(t *testing.T) {
 	p := tinyProgram()
 	img := EncodeImage(p)

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"slices"
+
 	"prorace/internal/isa"
 )
 
@@ -14,8 +16,9 @@ const maxBackwardSteps = 200_000
 // execution). Memory operands whose address registers become known are
 // recovered; register facts that the forward pass lacked are recorded as
 // learned facts for the second forward pass (the paper's "yet another
-// forward replay starting from the youngest instruction").
-func (e *Engine) backwardPass(ps *pathState) {
+// forward replay starting from the youngest instruction"). walk is the
+// per-segment walk: backwardSegment, or a test's reference.
+func (e *Engine) backwardPass(ps *pathState, walk segmentWalk) {
 	samples := ps.tt.Samples
 	for k := range samples {
 		hi := samples[k].StepIndex
@@ -26,37 +29,59 @@ func (e *Engine) backwardPass(ps *pathState) {
 		if hi-lo > maxBackwardSteps {
 			lo = hi - maxBackwardSteps
 		}
-		e.backwardSegment(ps, lo, hi, regFileFromSample(&samples[k].Rec))
+		// A walk records facts in non-increasing step order; reversing its
+		// block keeps ps.learned ascending, since segments are disjoint and
+		// visited in ascending order.
+		start := len(ps.learned)
+		walk(e, ps, lo, hi, regFileFromSample(&samples[k].Rec))
+		slices.Reverse(ps.learned[start:])
 	}
 }
 
+// segmentWalk walks one segment [lo, hi] backwards from cur, the post-state
+// of step hi, and returns the lowest step it walked (hi+1 if none).
+type segmentWalk func(e *Engine, ps *pathState, lo, hi int, cur regFile) int
+
 // backwardSegment walks [lo, hi] in reverse. cur enters as the post-state
 // of step hi (the sample's register file) and is transformed into earlier
-// pre-states step by step.
-func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) {
+// pre-states step by step. The walk stops where cur's availability is
+// contained in the first forward pass's: from there down it can neither
+// learn a fact nor recover an access (DESIGN.md §10). That requires
+// fwdAvail to come from a forward pass that applied no learned facts.
+func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 	runs := ps.tt.Path.Runs
 	ri := ps.tt.Path.RunAt(hi)
 	var regBuf [2]isa.Reg // stack scratch for AppendDefs/AppendAddrRegs
 	for i := hi; i >= lo; i-- {
+		// cur is the pre-state of step i+1.
+		if i < hi && cur.avail&^ps.fwdAvail[i+1] == 0 {
+			return i + 1
+		}
 		if i < int(runs[ri].Step) {
 			ri--
 		}
 		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
-		in := e.p.Insts[idx]
+		in := &e.p.Insts[idx]
 
 		// Derive the pre-state of step i from its post-state in cur —
-		// but first record, for each register this step defines and whose
-		// post-value we know, a learned fact at step i+1 (the pre-state of
-		// the following step). The second forward pass restores the value
-		// right where backward propagation reached its definition — the
-		// paper's "yet another forward replay starting from the youngest
-		// instruction".
-		post := cur
+		// but first record, for the register this step defines (every
+		// instruction defines at most one) if its post-value is known, a
+		// learned fact at step i+1 (the pre-state of the following step).
+		// The second forward pass restores the value right where backward
+		// propagation reached its definition — the paper's "yet another
+		// forward replay starting from the youngest instruction".
+		var (
+			def     isa.Reg
+			postVal uint64
+			postHas bool
+		)
+		if defs := in.AppendDefs(regBuf[:0]); len(defs) > 0 {
+			def = defs[0]
+			postHas, postVal = cur.has(def), cur.get(def)
+		}
 		e.unexecute(in, &cur)
-		for _, d := range in.AppendDefs(regBuf[:0]) {
-			if post.has(d) && (!cur.has(d) || cur.get(d) != post.get(d)) {
-				ps.learnFact(hi, i+1, d, post.get(d))
-			}
+		if postHas && (!cur.has(def) || cur.get(def) != postVal) {
+			ps.learnFact(hi, i+1, def, postVal)
 		}
 
 		// cur is now the pre-state of step i: evaluate the memory operand.
@@ -80,6 +105,7 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) {
 			}
 		}
 	}
+	return lo
 }
 
 // learnFact records a learned fact at step for the second forward pass,
@@ -97,7 +123,7 @@ func (ps *pathState) learnFact(hi, step int, r isa.Reg, v uint64) {
 // (§5.2.2): immediate add/sub/xor are bijections; MOV establishes an
 // equality; two-register add/sub recover one operand from the other; LEA
 // with a base-only operand is an addition by a constant.
-func (e *Engine) unexecute(in isa.Inst, cur *regFile) {
+func (e *Engine) unexecute(in *isa.Inst, cur *regFile) {
 	switch in.Op {
 	case isa.MOV:
 		// post[rd] == pre[rs]; pre[rd] is lost.

@@ -76,7 +76,7 @@ func (e *Engine) bbForRecord(rec *tracefmt.PEBSRecord, st *Stats) []Access {
 		in := e.p.Insts[idx]
 		switch in.Op {
 		case isa.LOAD, isa.STORE, isa.LEA:
-			addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(idx))
+			addr, okAddr := addrOf(&in, &rf, isa.IndexToAddr(idx))
 			if okAddr {
 				emit(idx, addr, OriginBB)
 			}
@@ -134,7 +134,7 @@ func (e *Engine) bbForRecord(rec *tracefmt.PEBSRecord, st *Stats) []Access {
 			rb.clear(d)
 		}
 		if in.IsMemAccess() {
-			if addr, okAddr := addrOf(in, &rb, isa.IndexToAddr(idx)); okAddr {
+			if addr, okAddr := addrOf(&in, &rb, isa.IndexToAddr(idx)); okAddr {
 				emit(idx, addr, OriginBB)
 			}
 		}

@@ -18,6 +18,12 @@ type regFacts struct {
 	val   [isa.NumRegs]uint64
 }
 
+// stepFacts is the regFacts learned for one step's pre-state.
+type stepFacts struct {
+	step  int
+	facts regFacts
+}
+
 func (f *regFacts) set(r isa.Reg, v uint64) {
 	f.val[r] = v
 	f.avail |= 1 << r
@@ -36,14 +42,10 @@ type pathState struct {
 	// the latest forward pass, so the backward pass can tell which of its
 	// facts are new.
 	fwdAvail []uint16
-	// learnedIdx/learnedFacts hold backward-derived pre-state register
-	// values, applied at the given step by the second forward pass. The
-	// per-step table stores 1-based indices into an arena slice (0 = no
-	// facts): regFacts is larger than the runtime's 128-byte inline-map-
-	// value limit, so a map[int]regFacts would heap-box every insert, and
-	// per-step map lookups dominated the replay CPU profile besides.
-	learnedIdx   []int32
-	learnedFacts []regFacts
+	// learned holds backward-derived pre-state register values, one entry
+	// per step in ascending step order, applied by the second forward pass
+	// through a factCursor.
+	learned []stepFacts
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
@@ -75,8 +77,7 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	ps.known = resetSlice(ps.known, n)
 	ps.addrs = resetSlice(ps.addrs, n)
 	ps.fwdAvail = resetSlice(ps.fwdAvail, n)
-	ps.learnedIdx = resetSlice(ps.learnedIdx, n)
-	ps.learnedFacts = ps.learnedFacts[:0]
+	ps.learned = ps.learned[:0]
 	if ps.mem == nil {
 		ps.mem = map[uint64]uint64{}
 	}
@@ -146,24 +147,46 @@ func (c *syncCursor) at(step int) *tracefmt.SyncRecord {
 	return rec
 }
 
-// learnedAt returns the facts recorded at step, or nil.
-func (ps *pathState) learnedAt(step int) *regFacts {
-	if j := ps.learnedIdx[step]; j != 0 {
-		return &ps.learnedFacts[j-1]
-	}
-	return nil
+// factCursor walks the learned facts alongside a forward pass, like
+// sampleCursor; the facts must ascend by step with one entry per step.
+type factCursor struct {
+	f    []stepFacts
+	next int // step of f[0]; math.MaxInt past the end
 }
 
-// learnedSlot returns the step's fact slot, creating it if needed. The
-// pointer is only valid until the next learnedSlot call — the arena may
-// grow under it.
-func (ps *pathState) learnedSlot(step int) *regFacts {
-	if j := ps.learnedIdx[step]; j != 0 {
-		return &ps.learnedFacts[j-1]
+func newFactCursor(f []stepFacts) factCursor {
+	c := factCursor{f: f, next: math.MaxInt}
+	if len(f) > 0 {
+		c.next = f[0].step
 	}
-	ps.learnedFacts = append(ps.learnedFacts, regFacts{})
-	ps.learnedIdx[step] = int32(len(ps.learnedFacts))
-	return &ps.learnedFacts[len(ps.learnedFacts)-1]
+	return c
+}
+
+// at returns the facts learned for step, nil if none. Steps must be asked
+// in ascending order, every step of the path.
+func (c *factCursor) at(step int) *regFacts {
+	if step != c.next {
+		return nil
+	}
+	f := &c.f[0].facts
+	c.f = c.f[1:]
+	c.next = math.MaxInt
+	if len(c.f) > 0 {
+		c.next = c.f[0].step
+	}
+	return f
+}
+
+// learnedSlot returns the step's fact slot, creating it if needed. A
+// backward walk asks for steps in non-increasing order, so the step's slot,
+// if any, is the last entry. The pointer is only valid until the next
+// learnedSlot call — the slice may grow under it.
+func (ps *pathState) learnedSlot(step int) *regFacts {
+	if n := len(ps.learned); n > 0 && ps.learned[n-1].step == step {
+		return &ps.learned[n-1].facts
+	}
+	ps.learned = append(ps.learned, stepFacts{step: step})
+	return &ps.learned[len(ps.learned)-1].facts
 }
 
 // release drops every reference into the thread's trace so a pooled state
@@ -201,11 +224,7 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 	var st Stats
 	st.PathSteps = tt.Path.Len()
 	for _, r := range tt.Path.Runs {
-		for _, in := range e.p.Insts[r.Inst : r.Inst+r.Len] {
-			if in.IsMemAccess() {
-				st.MemSteps++
-			}
-		}
+		st.MemSteps += e.p.MemAccessesIn(int(r.Inst), int(r.Inst+r.Len))
 	}
 
 	passes(e, ps, &st)
@@ -247,7 +266,7 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 func (e *Engine) replayPasses(ps *pathState, st *Stats) {
 	e.forwardPass(ps, st)
 	if e.cfg.Mode == ModeForwardBackward {
-		e.backwardPass(ps)
+		e.backwardPass(ps, (*Engine).backwardSegment)
 		e.forwardPass(ps, st)
 	}
 }
@@ -291,12 +310,18 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 
 	samples := newSampleCursor(ps.tt.Samples)
 	syncs := syncCursor{s: ps.tt.Sync}
+	learned := newFactCursor(ps.learned)
 	for _, run := range ps.tt.Path.Runs {
-		for k, in := range e.p.Insts[run.Inst : run.Inst+run.Len] {
+		insts := e.p.Insts[run.Inst : run.Inst+run.Len]
+		for k := range insts {
+			// Read the instruction in place: with a per-step copy to the
+			// stack, the loop's speed depended on where the goroutine's
+			// stack sat (DESIGN.md §10, "Reading instructions in place").
+			in := &insts[k]
 			i := int(run.Step) + k
 			pc := isa.IndexToAddr(int(run.Inst) + k)
 			// Apply backward-derived facts for this step's pre-state.
-			if facts := ps.learnedAt(i); facts != nil {
+			if facts := learned.at(i); facts != nil {
 				for r := isa.Reg(0); r < isa.NumRegs; r++ {
 					if facts.avail&(1<<r) != 0 && !rf.has(r) {
 						rf.set(r, facts.val[r])
@@ -424,7 +449,9 @@ func (e *Engine) collect(ps *pathState, st *Stats) []Access {
 	out := make([]Access, 0, ps.recovered)
 	samples := newSampleCursor(ps.tt.Samples)
 	for _, run := range ps.tt.Path.Runs {
-		for k, in := range e.p.Insts[run.Inst : run.Inst+run.Len] {
+		insts := e.p.Insts[run.Inst : run.Inst+run.Len]
+		for k := range insts {
+			in := &insts[k]
 			i := int(run.Step) + k
 			if !ps.known[i] || !in.IsMemAccess() {
 				continue

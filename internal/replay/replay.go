@@ -332,7 +332,7 @@ func regFileFromSample(rec *tracefmt.PEBSRecord) regFile {
 
 // addrOf computes a memory operand's effective address under availability
 // tracking; ok is false when a required register is unavailable.
-func addrOf(in isa.Inst, rf *regFile, pc uint64) (uint64, bool) {
+func addrOf(in *isa.Inst, rf *regFile, pc uint64) (uint64, bool) {
 	var regBuf [2]isa.Reg
 	for _, r := range in.AppendAddrRegs(regBuf[:0]) {
 		if !rf.has(r) {
