@@ -441,7 +441,13 @@ func cmdAnalyze(args []string) error {
 		}
 	}
 	if c.workloadName == "" && c.bugID == "" {
-		c.workloadName = tr.Program
+		// The header names the traced program: a Table-2 bug's ID or a
+		// workload's name.
+		if _, err := bugs.ByID(tr.Program); err == nil {
+			c.bugID = tr.Program
+		} else {
+			c.workloadName = tr.Program
+		}
 	}
 	w, built, err := c.resolve()
 	if err != nil {

@@ -320,23 +320,23 @@ type Inst struct {
 }
 
 // HasMemOperand reports whether the instruction addresses memory.
-func (i Inst) HasMemOperand() bool {
+func (i *Inst) HasMemOperand() bool {
 	return (i.Op == LOAD || i.Op == STORE || i.Op == LEA) && i.Mode != ModeNone
 }
 
 // IsLoad reports whether the instruction is a memory read. LEA computes an
 // address but does not touch memory, so it is not a load.
-func (i Inst) IsLoad() bool { return i.Op == LOAD }
+func (i *Inst) IsLoad() bool { return i.Op == LOAD }
 
 // IsStore reports whether the instruction is a memory write.
-func (i Inst) IsStore() bool { return i.Op == STORE }
+func (i *Inst) IsStore() bool { return i.Op == STORE }
 
 // IsMemAccess reports whether the instruction reads or writes memory.
 // These are the "retired load and store" events PEBS samples.
-func (i Inst) IsMemAccess() bool { return i.Op == LOAD || i.Op == STORE }
+func (i *Inst) IsMemAccess() bool { return i.Op == LOAD || i.Op == STORE }
 
 // IsBranch reports whether the instruction can redirect control flow.
-func (i Inst) IsBranch() bool {
+func (i *Inst) IsBranch() bool {
 	switch i.Op {
 	case JMP, JEQ, JNE, JLT, JLE, JGT, JGE, JMPR, CALL, CALLR, RET:
 		return true
@@ -346,7 +346,7 @@ func (i Inst) IsBranch() bool {
 
 // IsCondBranch reports whether the instruction is a conditional branch,
 // i.e. one PT records as a TNT (taken/not-taken) bit.
-func (i Inst) IsCondBranch() bool {
+func (i *Inst) IsCondBranch() bool {
 	switch i.Op {
 	case JEQ, JNE, JLT, JLE, JGT, JGE:
 		return true
@@ -356,7 +356,7 @@ func (i Inst) IsCondBranch() bool {
 
 // IsIndirectBranch reports whether the branch target comes from a register
 // or the stack, i.e. one PT must record as a TIP (target IP) packet.
-func (i Inst) IsIndirectBranch() bool {
+func (i *Inst) IsIndirectBranch() bool {
 	switch i.Op {
 	case JMPR, CALLR, RET:
 		return true
@@ -368,7 +368,7 @@ func (i Inst) IsIndirectBranch() bool {
 // read function and the address of the instruction itself. It is shared by
 // the machine interpreter and the offline replay engine so the two can
 // never disagree.
-func (i Inst) EffectiveAddress(reg func(Reg) uint64, pc uint64) uint64 {
+func (i *Inst) EffectiveAddress(reg func(Reg) uint64, pc uint64) uint64 {
 	switch i.Mode {
 	case ModeBase:
 		return reg(i.Base) + uint64(i.Disp)
@@ -386,12 +386,12 @@ func (i Inst) EffectiveAddress(reg func(Reg) uint64, pc uint64) uint64 {
 // AddrRegs returns the registers that participate in the effective-address
 // computation. PC-relative and absolute operands need none — the property
 // that makes them always reconstructible offline.
-func (i Inst) AddrRegs() []Reg { return i.AppendAddrRegs(nil) }
+func (i *Inst) AddrRegs() []Reg { return i.AppendAddrRegs(nil) }
 
 // AppendAddrRegs appends the address registers to buf and returns it.
 // With a caller-provided buffer of capacity ≥ 2 it does not allocate,
 // which matters in the replay inner loops that query every instruction.
-func (i Inst) AppendAddrRegs(buf []Reg) []Reg {
+func (i *Inst) AppendAddrRegs(buf []Reg) []Reg {
 	if !i.HasMemOperand() {
 		return buf
 	}

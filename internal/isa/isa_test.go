@@ -78,10 +78,10 @@ func TestAddrRegs(t *testing.T) {
 	if len(got) != 2 || got[0] != R3 || got[1] != R4 {
 		t.Errorf("AddrRegs = %v, want [r3 r4]", got)
 	}
-	if n := len((Inst{Op: LOAD, Mode: ModePCRel}).AddrRegs()); n != 0 {
+	if n := len((&Inst{Op: LOAD, Mode: ModePCRel}).AddrRegs()); n != 0 {
 		t.Errorf("PC-relative operand must use no registers, got %d", n)
 	}
-	if n := len((Inst{Op: ADD, Rd: R0, Rs: R1}).AddrRegs()); n != 0 {
+	if n := len((&Inst{Op: ADD, Rd: R0, Rs: R1}).AddrRegs()); n != 0 {
 		t.Errorf("non-memory instruction must have no address registers, got %d", n)
 	}
 }
@@ -202,7 +202,7 @@ func TestALU(t *testing.T) {
 			t.Errorf("%v.ALU(%d,%d) = %d,%v want %d", c.in, c.dst, c.src, got, ok, c.want)
 		}
 	}
-	if _, ok := (Inst{Op: MOV}).ALU(1, 2); ok {
+	if _, ok := (&Inst{Op: MOV}).ALU(1, 2); ok {
 		t.Error("MOV must not be an ALU op")
 	}
 }
@@ -230,10 +230,10 @@ func TestInvertRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if (Inst{Op: MULI, Imm: 2}).Invertible() {
+	if (&Inst{Op: MULI, Imm: 2}).Invertible() {
 		t.Error("MULI must not be invertible (not a bijection for even factors)")
 	}
-	if _, ok := (Inst{Op: ANDI}).Invert(0); ok {
+	if _, ok := (&Inst{Op: ANDI}).Invert(0); ok {
 		t.Error("Invert must fail on ANDI")
 	}
 }
@@ -258,40 +258,40 @@ func TestInvertRegPair(t *testing.T) {
 	if got, ok := sub.InvertRegPair(post, pre, false); !ok || got != src {
 		t.Errorf("SUB recover src: got %d,%v want %d", got, ok, src)
 	}
-	if _, ok := (Inst{Op: MUL}).InvertRegPair(0, 0, true); ok {
+	if _, ok := (&Inst{Op: MUL}).InvertRegPair(0, 0, true); ok {
 		t.Error("InvertRegPair must fail on MUL")
 	}
 }
 
 func TestClassifiers(t *testing.T) {
-	if !(Inst{Op: LOAD, Mode: ModeBase, Base: R0}).IsMemAccess() {
+	if !(&Inst{Op: LOAD, Mode: ModeBase, Base: R0}).IsMemAccess() {
 		t.Error("LOAD must be a memory access")
 	}
-	if !(Inst{Op: STORE, Mode: ModeAbs}).IsStore() {
+	if !(&Inst{Op: STORE, Mode: ModeAbs}).IsStore() {
 		t.Error("STORE must be a store")
 	}
-	if (Inst{Op: LEA, Mode: ModeBase, Base: R0}).IsMemAccess() {
+	if (&Inst{Op: LEA, Mode: ModeBase, Base: R0}).IsMemAccess() {
 		t.Error("LEA must not be a memory access")
 	}
-	if !(Inst{Op: LEA, Mode: ModeBase, Base: R0}).HasMemOperand() {
+	if !(&Inst{Op: LEA, Mode: ModeBase, Base: R0}).HasMemOperand() {
 		t.Error("LEA must have a memory operand")
 	}
-	if !(Inst{Op: JEQ}).IsCondBranch() || (Inst{Op: JMP}).IsCondBranch() {
+	if !(&Inst{Op: JEQ}).IsCondBranch() || (&Inst{Op: JMP}).IsCondBranch() {
 		t.Error("conditional-branch classification wrong")
 	}
-	if !(Inst{Op: RET}).IsIndirectBranch() || (Inst{Op: CALL}).IsIndirectBranch() {
+	if !(&Inst{Op: RET}).IsIndirectBranch() || (&Inst{Op: CALL}).IsIndirectBranch() {
 		t.Error("indirect-branch classification wrong")
 	}
-	if (Inst{Op: JMP}).FallThrough() || !(Inst{Op: JEQ}).FallThrough() {
+	if (&Inst{Op: JMP}).FallThrough() || !(&Inst{Op: JEQ}).FallThrough() {
 		t.Error("fall-through classification wrong")
 	}
-	if (Inst{Op: SYSCALL, Sys: SysExit}).FallThrough() {
+	if (&Inst{Op: SYSCALL, Sys: SysExit}).FallThrough() {
 		t.Error("exit must not fall through")
 	}
-	if !(Inst{Op: SYSCALL, Sys: SysLock}).FallThrough() {
+	if !(&Inst{Op: SYSCALL, Sys: SysLock}).FallThrough() {
 		t.Error("lock must fall through")
 	}
-	if !(Inst{Op: HALT}).EndsBlock() || (Inst{Op: ADD}).EndsBlock() {
+	if !(&Inst{Op: HALT}).EndsBlock() || (&Inst{Op: ADD}).EndsBlock() {
 		t.Error("block-end classification wrong")
 	}
 }

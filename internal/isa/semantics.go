@@ -10,7 +10,7 @@ package isa
 
 // Uses returns the registers the instruction reads. Memory-operand
 // registers are included. Flags are not registers; see ReadsFlags.
-func (i Inst) Uses() []Reg {
+func (i *Inst) Uses() []Reg {
 	var u []Reg
 	switch i.Op {
 	case MOV:
@@ -37,11 +37,11 @@ func (i Inst) Uses() []Reg {
 }
 
 // Defs returns the registers the instruction writes.
-func (i Inst) Defs() []Reg { return i.AppendDefs(nil) }
+func (i *Inst) Defs() []Reg { return i.AppendDefs(nil) }
 
 // AppendDefs appends the registers the instruction writes to buf and
 // returns it. The allocation-free form of Defs for hot loops.
-func (i Inst) AppendDefs(buf []Reg) []Reg {
+func (i *Inst) AppendDefs(buf []Reg) []Reg {
 	switch i.Op {
 	case MOVI, MOV, LEA, LOAD:
 		return append(buf, i.Rd)
@@ -56,10 +56,10 @@ func (i Inst) AppendDefs(buf []Reg) []Reg {
 }
 
 // WritesFlags reports whether the instruction updates the flags.
-func (i Inst) WritesFlags() bool { return i.Op == CMP || i.Op == CMPI }
+func (i *Inst) WritesFlags() bool { return i.Op == CMP || i.Op == CMPI }
 
 // ReadsFlags reports whether the instruction's behaviour depends on flags.
-func (i Inst) ReadsFlags() bool { return i.IsCondBranch() }
+func (i *Inst) ReadsFlags() bool { return i.IsCondBranch() }
 
 // Flags is the thread condition state produced by CMP/CMPI, interpreted as
 // the signed comparison of the two operands.
@@ -97,7 +97,7 @@ func BranchTaken(op Op, f Flags) bool {
 // current value of Rd (dst) and the second operand (src for register forms,
 // ignored for immediate forms, which use Imm). ok is false for
 // non-arithmetic opcodes.
-func (i Inst) ALU(dst, src uint64) (result uint64, ok bool) {
+func (i *Inst) ALU(dst, src uint64) (result uint64, ok bool) {
 	b := src
 	switch i.Op {
 	case ADDI, SUBI, MULI, ANDI, ORI, XORI, SHLI, SHRI:
@@ -129,7 +129,7 @@ func (i Inst) ALU(dst, src uint64) (result uint64, ok bool) {
 // execution (paper §5.2.2). ADD/SUB with an immediate and XOR with an
 // immediate are bijections of the destination; MOV establishes an equality
 // between two registers (handled separately by the replay engine).
-func (i Inst) Invertible() bool {
+func (i *Inst) Invertible() bool {
 	switch i.Op {
 	case ADDI, SUBI, XORI:
 		return true
@@ -139,7 +139,7 @@ func (i Inst) Invertible() bool {
 
 // Invert computes the pre-state of Rd from its post-state for an invertible
 // instruction. ok is false if the instruction is not invertible.
-func (i Inst) Invert(post uint64) (pre uint64, ok bool) {
+func (i *Inst) Invert(post uint64) (pre uint64, ok bool) {
 	switch i.Op {
 	case ADDI:
 		return post - uint64(i.Imm), true
@@ -159,7 +159,7 @@ func (i Inst) Invert(post uint64) (pre uint64, ok bool) {
 // For ADD: post = pre + src, so pre = post - src and src = post - pre.
 // For SUB: post = pre - src, so pre = post + src and src = pre - post.
 // ok is false for other opcodes.
-func (i Inst) InvertRegPair(post uint64, known uint64, knownIsSrc bool) (recovered uint64, ok bool) {
+func (i *Inst) InvertRegPair(post uint64, known uint64, knownIsSrc bool) (recovered uint64, ok bool) {
 	switch i.Op {
 	case ADD:
 		if knownIsSrc {
@@ -177,7 +177,7 @@ func (i Inst) InvertRegPair(post uint64, known uint64, knownIsSrc bool) (recover
 
 // FallThrough reports whether control can reach the next sequential
 // instruction after this one.
-func (i Inst) FallThrough() bool {
+func (i *Inst) FallThrough() bool {
 	switch i.Op {
 	case JMP, JMPR, RET, HALT:
 		return false
@@ -188,6 +188,6 @@ func (i Inst) FallThrough() bool {
 }
 
 // EndsBlock reports whether the instruction terminates a basic block.
-func (i Inst) EndsBlock() bool {
+func (i *Inst) EndsBlock() bool {
 	return i.IsBranch() || i.Op == HALT || (i.Op == SYSCALL && i.Sys == SysExit)
 }

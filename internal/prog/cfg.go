@@ -144,16 +144,32 @@ func (p *Program) NextTerminator(idx int) int {
 // so a straight-line run's memory steps cost two lookups. It is safe for
 // concurrent use.
 func (p *Program) MemAccessesIn(lo, hi int) int {
-	p.memOnce.Do(func() {
-		p.memPrefix = make([]int32, len(p.Insts)+1)
-		for k, in := range p.Insts {
-			p.memPrefix[k+1] = p.memPrefix[k]
-			if in.IsMemAccess() {
-				p.memPrefix[k+1]++
-			}
-		}
-	})
+	p.memOnce.Do(func() { p.memPrefix = p.prefixCount((*isa.Inst).IsMemAccess) })
 	return int(p.memPrefix[hi] - p.memPrefix[lo])
+}
+
+// SyscallsIn returns how many of the instructions at indexes [lo, hi) are
+// SYSCALLs, from a per-program prefix count like MemAccessesIn's, so a
+// straight-line run without one is skipped after two lookups. It is safe
+// for concurrent use.
+func (p *Program) SyscallsIn(lo, hi int) int {
+	p.sysOnce.Do(func() {
+		p.sysPrefix = p.prefixCount(func(in *isa.Inst) bool { return in.Op == isa.SYSCALL })
+	})
+	return int(p.sysPrefix[hi] - p.sysPrefix[lo])
+}
+
+// prefixCount returns c with c[k] the number of instructions among
+// Insts[:k] that satisfy pred.
+func (p *Program) prefixCount(pred func(*isa.Inst) bool) []int32 {
+	c := make([]int32, len(p.Insts)+1)
+	for k := range p.Insts {
+		c[k+1] = c[k]
+		if pred(&p.Insts[k]) {
+			c[k+1]++
+		}
+	}
+	return c
 }
 
 // BlockContaining returns the basic block covering the instruction address.

@@ -58,6 +58,8 @@ type Program struct {
 	termIdx    []int32 // instruction index -> next block-ending instruction
 	memOnce    sync.Once
 	memPrefix  []int32 // k -> memory-access instructions among Insts[:k]
+	sysOnce    sync.Once
+	sysPrefix  []int32 // k -> SYSCALL instructions among Insts[:k]
 }
 
 // TextEnd returns the first address past the text segment.

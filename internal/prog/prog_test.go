@@ -201,14 +201,20 @@ func TestMemAccessesIn(t *testing.T) {
 	p := tinyProgram()
 	for lo := 0; lo <= len(p.Insts); lo++ {
 		for hi := lo; hi <= len(p.Insts); hi++ {
-			want := 0
+			mem, sys := 0, 0
 			for _, in := range p.Insts[lo:hi] {
 				if in.IsMemAccess() {
-					want++
+					mem++
+				}
+				if in.Op == isa.SYSCALL {
+					sys++
 				}
 			}
-			if got := p.MemAccessesIn(lo, hi); got != want {
-				t.Errorf("MemAccessesIn(%d, %d) = %d, want %d", lo, hi, got, want)
+			if got := p.MemAccessesIn(lo, hi); got != mem {
+				t.Errorf("MemAccessesIn(%d, %d) = %d, want %d", lo, hi, got, mem)
+			}
+			if got := p.SyscallsIn(lo, hi); got != sys {
+				t.Errorf("SyscallsIn(%d, %d) = %d, want %d", lo, hi, got, sys)
 			}
 		}
 	}

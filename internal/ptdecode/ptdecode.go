@@ -25,7 +25,9 @@ package ptdecode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"prorace/internal/isa"
 	"prorace/internal/prog"
@@ -162,8 +164,10 @@ func (q *queue[T]) pop() T {
 	return v
 }
 
-// runChunk is the size of the chunks the walk collects runs in.
-const runChunk = 4096
+// runScratch pools the slices a walk collects its runs in. A walk appends
+// to a warm slice, so it rarely regrows, and finish copies the runs once
+// into Path.Runs at their exact size.
+var runScratch = sync.Pool{New: func() any { return new([]Run) }}
 
 // decoder state over one stream.
 type decoder struct {
@@ -179,12 +183,10 @@ type decoder struct {
 	// steps is the walk's position: how many steps have been recorded.
 	// Markers and gaps take their StepIndex from it.
 	steps int
-	// The walk collects runs in chunks of runChunk: runs is the chunk
-	// being filled (grown by append only while it is the first), full the
-	// chunks before it. Growing never copies the runs collected so far;
-	// finish assembles Path.Runs once, at its exact size.
-	runs []Run
-	full [][]Run
+	// runs collects the walk's runs in a pooled scratch slice (runScratch),
+	// taken at the first run; finish copies them into Path.Runs.
+	scratch *[]Run
+	runs    []Run
 
 	// pending run-length-encoded TNT state, expanded lazily.
 	runPattern uint8
@@ -446,7 +448,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			continue
 		}
 
-		in := insts[term]
+		in := &insts[term]
 		switch {
 		case in.IsCondBranch():
 			taken, okBit := d.nextBit()
@@ -575,9 +577,9 @@ func (d *decoder) appendRun(idx, n int) {
 	if k := len(d.runs) - 1; k >= 0 && int(d.runs[k].Inst)+int(d.runs[k].Len) == idx {
 		d.runs[k].Len += uint32(n)
 	} else {
-		if len(d.runs) == runChunk {
-			d.full = append(d.full, d.runs)
-			d.runs = make([]Run, 0, runChunk)
+		if d.scratch == nil {
+			d.scratch = runScratch.Get().(*[]Run)
+			d.runs = *d.scratch
 		}
 		d.runs = append(d.runs, Run{Step: uint32(d.steps), Inst: uint32(idx), Len: uint32(n)})
 	}
@@ -590,16 +592,12 @@ func (d *decoder) appendRun(idx, n int) {
 // finish ends the walk: it assembles Path.Runs and drains any packets left
 // so trailing TSC markers are recorded at the final position.
 func (d *decoder) finish() {
-	if len(d.full) == 0 {
-		d.path.Runs = d.runs
-	} else {
-		d.path.Runs = make([]Run, 0, len(d.full)*runChunk+len(d.runs))
-		for _, c := range d.full {
-			d.path.Runs = append(d.path.Runs, c...)
-		}
-		d.path.Runs = append(d.path.Runs, d.runs...)
+	if d.scratch != nil {
+		d.path.Runs = slices.Clone(d.runs)
+		*d.scratch = d.runs[:0]
+		runScratch.Put(d.scratch)
+		d.scratch, d.runs = nil, nil
 	}
-	d.runs, d.full = nil, nil
 	d.draining = true
 	d.anchorOK = false
 	d.runLeft, d.runExc, d.runEi = 0, nil, 0

@@ -205,7 +205,7 @@ func TestMarkersPinSamples(t *testing.T) {
 				idx = i
 				break
 			}
-			if p.MustInstAt(pcs[i]).IsBranch() && i < found.StepIndex-1 {
+			if in := p.MustInstAt(pcs[i]); in.IsBranch() && i < found.StepIndex-1 {
 				break
 			}
 		}

@@ -41,18 +41,11 @@ func TestBackwardCutMatchesUncutWalk(t *testing.T) {
 			continue
 		}
 		apps[bug.App] = true
-		built := bug.Build(1)
 		for _, period := range periods {
 			for seed := int64(1); seed <= seeds; seed++ {
-				tr, err := core.TraceProgram(built.Workload.Program, core.TraceOptions{
-					Kind: driver.ProRace, Period: period, Seed: seed, EnablePT: true,
-					Machine: built.Workload.Machine,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				built, tr := traceBug(t, bug, period, seed)
 				name := fmt.Sprintf("%s period=%d seed=%d", bug.ID, period, seed)
-				n, inv := matchUncutWalk(t, name, built.Workload.Program, tr.Trace, synthesis.Options{Lenient: true})
+				n, inv := matchUncutWalk(t, name, built.Workload.Program, tr, synthesis.Options{Lenient: true})
 				threads, invalidated = threads+n, invalidated+inv
 			}
 		}
@@ -121,16 +114,24 @@ func TestBackwardCutMatchesUncutWalkOnFaults(t *testing.T) {
 }
 
 // matchUncutWalk synthesises tr with opts and reconstructs every thread
-// with the cut backward walk and with the uncut reference, with memory
-// emulation on and off and with InvalidAddrs nil and set to the detected
-// racy set. Accesses, Stats (InvalidHits included) and LoadLogs must be
-// identical. It returns the reconstructions compared and how many of them
-// had InvalidHits.
+// with the fixed schedule, whose backward walk stops early and whose
+// second forward pass skips where it repeats the first, and with two
+// references: one whose second forward pass walks every step, and one
+// where the backward walk is uncut too. It does so with memory emulation
+// on and off and with InvalidAddrs nil and set to the detected racy set.
+// Accesses, Stats (InvalidHits included) and LoadLogs must be identical.
+// It returns the reconstructions compared and how many of them had
+// InvalidHits.
 func matchUncutWalk(t *testing.T, name string, p *prog.Program, tr *tracefmt.Trace, opts synthesis.Options) (threads, invalidated int) {
 	t.Helper()
 	tts, err := synthesis.SynthesizeWith(p, tr, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for tid, tt := range tts {
+		if want := syncStepsByScan(p, tr, tt); !reflect.DeepEqual(tt.Sync, want) {
+			t.Fatalf("%s tid=%d: sync records pinned differently from a per-instruction scan:\n got %+v\nwant %+v", name, tid, tt.Sync, want)
+		}
 	}
 	acc, _ := replay.NewEngine(p, replay.Config{}).ReconstructAll(tts)
 	racy := race.Detect(tr.Sync, acc, race.Options{TrackAllocations: true}).RacyAddrSet()
@@ -143,15 +144,20 @@ func matchUncutWalk(t *testing.T, name string, p *prog.Program, tr *tracefmt.Tra
 		for _, e := range []*replay.Engine{emulated, emulated.DisableMemoryEmulation()} {
 			for tid, tt := range tts {
 				got, gst, glog := e.ReconstructThreadLogged(tt)
-				want, wst, wlog := e.ReconstructThreadUncut(tt)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s racy=%d tid=%d: accesses differ from the uncut walk (%d vs %d)", name, len(invalid), tid, len(got), len(want))
-				}
-				if gst != wst {
-					t.Fatalf("%s racy=%d tid=%d: stats differ:\n got %+v\nwant %+v", name, len(invalid), tid, gst, wst)
-				}
-				if !reflect.DeepEqual(glog, wlog) {
-					t.Fatalf("%s racy=%d tid=%d: LoadLogs differ", name, len(invalid), tid)
+				for _, ref := range []struct {
+					name string
+					run  func(*synthesis.ThreadTrace) ([]replay.Access, replay.Stats, *replay.LoadLog)
+				}{{"full second forward pass", e.ReconstructThreadFullF2}, {"uncut walk", e.ReconstructThreadUncut}} {
+					want, wst, wlog := ref.run(tt)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s racy=%d tid=%d: accesses differ from the %s (%d vs %d)", name, len(invalid), tid, ref.name, len(got), len(want))
+					}
+					if gst != wst {
+						t.Fatalf("%s racy=%d tid=%d: stats differ from the %s:\n got %+v\nwant %+v", name, len(invalid), tid, ref.name, gst, wst)
+					}
+					if !reflect.DeepEqual(glog, wlog) {
+						t.Fatalf("%s racy=%d tid=%d: LoadLogs differ from the %s", name, len(invalid), tid, ref.name)
+					}
 				}
 				if gst.InvalidHits > 0 {
 					invalidated++
@@ -161,6 +167,46 @@ func matchUncutWalk(t *testing.T, name string, p *prog.Program, tr *tracefmt.Tra
 		}
 	}
 	return threads, invalidated
+}
+
+// syncStepsByScan pins tt's sync records the way synthesis did before it
+// skipped runs without a syscall: it visits every path step, zipping the
+// traced syscalls with the thread's records in order.
+func syncStepsByScan(p *prog.Program, tr *tracefmt.Trace, tt *synthesis.ThreadTrace) []synthesis.SyncStep {
+	kinds := map[isa.Sys]tracefmt.SyncKind{
+		isa.SysLock: tracefmt.SyncLock, isa.SysUnlock: tracefmt.SyncUnlock,
+		isa.SysCondWait: tracefmt.SyncCondWait, isa.SysCondSignal: tracefmt.SyncCondSignal,
+		isa.SysCondBroadcast: tracefmt.SyncCondBroadcast, isa.SysBarrier: tracefmt.SyncBarrier,
+		isa.SysThreadCreate: tracefmt.SyncThreadCreate, isa.SysThreadJoin: tracefmt.SyncThreadJoin,
+		isa.SysMalloc: tracefmt.SyncMalloc, isa.SysFree: tracefmt.SyncFree,
+	}
+	type pathSys struct {
+		step int
+		kind tracefmt.SyncKind
+	}
+	var steps []pathSys
+	for _, r := range tt.Path.Runs {
+		for k := 0; k < int(r.Len); k++ {
+			in := p.Insts[int(r.Inst)+k]
+			if kind, ok := kinds[in.Sys]; ok && in.Op == isa.SYSCALL {
+				steps = append(steps, pathSys{int(r.Step) + k, kind})
+			}
+		}
+	}
+	var out []synthesis.SyncStep
+	for _, rec := range tr.Sync {
+		if rec.TID != tt.TID {
+			continue
+		}
+		ss := synthesis.SyncStep{Rec: rec, StepIndex: -1}
+		if rec.Kind != tracefmt.SyncThreadBegin && rec.Kind != tracefmt.SyncThreadExit &&
+			len(steps) > 0 && steps[0].kind == rec.Kind {
+			ss.StepIndex = steps[0].step
+			steps = steps[1:]
+		}
+		out = append(out, ss)
+	}
+	return out
 }
 
 // TestBackwardCutKeepsFactAboveCut is a hand-built thread on which the
@@ -231,15 +277,8 @@ func TestBackwardWalkRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := bug.Build(1)
-	tr, err := core.TraceProgram(built.Workload.Program, core.TraceOptions{
-		Kind: driver.ProRace, Period: 1000, Seed: 2, EnablePT: true,
-		Machine: built.Workload.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tts, err := synthesis.Synthesize(built.Workload.Program, tr.Trace)
+	built, tr := traceBug(t, bug, 1000, 2)
+	tts, err := synthesis.Synthesize(built.Workload.Program, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,5 +292,84 @@ func TestBackwardWalkRatchet(t *testing.T) {
 	t.Logf("backward walk visited %d of %d segment steps (%.3f)", walked, uncut, ratio)
 	if uncut == 0 || ratio > 0.25 {
 		t.Fatalf("backward walk visited %d of %d segment steps (%.3f); the bound is 0.25", walked, uncut, ratio)
+	}
+}
+
+// TestSecondForwardPassWalksPastUnequalMemory is a hand-built thread on
+// which the second forward pass must keep walking past a sample. The
+// backward pass learns r6 for the store at step 1, so only the second
+// pass stores &buf to slot there; the first pass, lacking r6, drops its
+// emulated memory instead. Both then enter the sample's registers at step
+// 2, but the second pass's memory holds one entry more, so it is not in
+// the first pass's state. Its reload of slot at step 3 hits, and only it
+// recovers the dereference at step 4. Taking the pass to be in step after
+// the sample regardless of memory, or resuming from a checkpoint past the
+// fact at step 1, loses that access.
+func TestSecondForwardPassWalksPastUnequalMemory(t *testing.T) {
+	b := asm.New("skip")
+	b.Global("a", 8)
+	b.Global("slot", 8)
+	b.Global("buf", 64)
+	m := b.Func("main")
+	m.Lea(isa.R1, asm.Global("buf", 0))   // 0: r1 = &buf in both passes
+	m.Store(asm.Base(isa.R6, 0), isa.R1)  // 1: r6 = &slot, learned backward
+	m.Load(isa.R2, asm.Global("a", 0))    // 2: sampled
+	m.Load(isa.R3, asm.Global("slot", 0)) // 3: hits only the second pass's memory
+	m.Load(isa.R4, asm.Base(isa.R3, 0))   // 4: needs r3 = &buf
+	m.Exit(0)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, slot, buf := p.MustLookup("a").Addr, p.MustLookup("slot").Addr, p.MustLookup("buf").Addr
+
+	const sampled, deref = 2, 4
+	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
+	path := &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: uint32(entry), Len: deref + 1}}}
+	rec := tracefmt.PEBSRecord{TSC: 100, IP: isa.IndexToAddr(entry + sampled), Addr: a}
+	rec.Regs[isa.R1], rec.Regs[isa.R6] = buf, slot
+	tt := &synthesis.ThreadTrace{
+		Path:    path,
+		Samples: []synthesis.Sample{{Rec: rec, StepIndex: sampled}},
+	}
+
+	e := replay.NewEngine(p, replay.Config{})
+	acc, st, log := e.ReconstructThreadLogged(tt)
+	i := slices.IndexFunc(acc, func(a replay.Access) bool { return a.Step == deref })
+	if i < 0 || acc[i].Addr != buf || acc[i].Origin != replay.OriginForward {
+		t.Fatalf("accesses %+v: want step %d recovered forward at %#x", acc, deref, buf)
+	}
+	wantAcc, wantSt, wantLog := e.ReconstructThreadFullF2(tt)
+	if !slices.Equal(acc, wantAcc) || st != wantSt || !reflect.DeepEqual(log, wantLog) {
+		t.Fatalf("differs from the full second forward pass:\n got %+v %+v\nwant %+v %+v", acc, st, wantAcc, wantSt)
+	}
+	if walked, steps := e.ForwardSteps(tt); walked != steps {
+		t.Errorf("second forward pass walked %d of %d steps; want all of them", walked, steps)
+	}
+}
+
+// TestForwardSkipRatchet bounds the share of the path's steps the second
+// forward pass walks on the mysql-3596 trace at period 1000, seed 2 (0.22
+// when the skip was introduced). It counts steps, not time.
+func TestForwardSkipRatchet(t *testing.T) {
+	bug, err := bugs.ByID("mysql-3596")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, tr := traceBug(t, bug, 1000, 2)
+	tts, err := synthesis.Synthesize(built.Workload.Program, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := replay.NewEngine(built.Workload.Program, replay.Config{})
+	var walked, steps int
+	for _, tt := range tts {
+		w, n := e.ForwardSteps(tt)
+		walked, steps = walked+w, steps+n
+	}
+	ratio := float64(walked) / float64(steps)
+	t.Logf("second forward pass walked %d of %d path steps (%.3f)", walked, steps, ratio)
+	if steps == 0 || ratio > 0.30 {
+		t.Fatalf("second forward pass walked %d of %d path steps (%.3f); the bound is 0.30", walked, steps, ratio)
 	}
 }

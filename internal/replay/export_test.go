@@ -19,7 +19,7 @@ func (e *Engine) ReconstructThreadRounds(tt *synthesis.ThreadTrace, maxRounds in
 	acc, st, _ := e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
 		for round := 0; round < maxRounds; round++ {
 			before := ps.recovered
-			e.forwardPass(ps, st)
+			e.forwardPass(ps, st, true)
 			if e.cfg.Mode == ModeForward {
 				return
 			}
@@ -55,34 +55,54 @@ func mergeLearned(ps *pathState) {
 }
 
 // ReconstructThreadUncut is ReconstructThreadLogged with every backward
-// segment walked down to its lower end: the reference the cut in
-// backwardSegment is held to.
+// segment walked down to its lower end and the second forward pass walking
+// every step: the reference both cuts are held to.
 func (e *Engine) ReconstructThreadUncut(tt *synthesis.ThreadTrace) ([]Access, Stats, *LoadLog) {
-	acc, st, log := e.reconstructPath(tt, e.emulateMemory && len(e.cfg.InvalidAddrs) == 0, func(e *Engine, ps *pathState, st *Stats) {
-		e.forwardPass(ps, st)
-		if e.cfg.Mode == ModeForwardBackward {
-			e.backwardPass(ps, (*Engine).uncutSegment)
-			e.forwardPass(ps, st)
-		}
-	})
-	return acc, st, log
+	return e.reconstructFullF2(tt, (*Engine).uncutSegment)
 }
 
-// BackwardSteps reconstructs tt with the fixed schedule and returns how
-// many steps its backward pass walked and how many the uncut walk would
-// have walked over the same segments.
+// ReconstructThreadFullF2 is ReconstructThreadLogged with the second
+// forward pass walking every step: the reference its skip is held to.
+func (e *Engine) ReconstructThreadFullF2(tt *synthesis.ThreadTrace) ([]Access, Stats, *LoadLog) {
+	return e.reconstructFullF2(tt, (*Engine).backwardSegment)
+}
+
+func (e *Engine) reconstructFullF2(tt *synthesis.ThreadTrace, walk segmentWalk) ([]Access, Stats, *LoadLog) {
+	return e.reconstructPath(tt, e.emulateMemory && len(e.cfg.InvalidAddrs) == 0, func(e *Engine, ps *pathState, st *Stats) {
+		e.forwardPass(ps, st, true)
+		if e.cfg.Mode == ModeForwardBackward {
+			e.backwardPass(ps, walk)
+			e.forwardPass(ps, st, true)
+		}
+	})
+}
+
+// BackwardSteps reconstructs tt up to the backward pass of the fixed
+// schedule and returns how many steps that pass walked and how many the
+// uncut walk would have walked over the same segments.
 func (e *Engine) BackwardSteps(tt *synthesis.ThreadTrace) (walked, uncut int) {
 	e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
-		e.forwardPass(ps, st)
+		e.forwardPass(ps, st, true)
 		e.backwardPass(ps, func(e *Engine, ps *pathState, lo, hi int, cur regFile) int {
 			stop := e.backwardSegment(ps, lo, hi, cur)
 			walked += hi + 1 - stop
 			uncut += hi + 1 - lo
 			return stop
 		})
-		e.forwardPass(ps, st)
 	})
 	return walked, uncut
+}
+
+// ForwardSteps reconstructs tt with the fixed schedule and returns how many
+// steps its second forward pass walked, out of the path's steps.
+func (e *Engine) ForwardSteps(tt *synthesis.ThreadTrace) (walked, steps int) {
+	e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
+		e.forwardPass(ps, st, true)
+		e.backwardPass(ps, (*Engine).backwardSegment)
+		ps.countTwice(st)
+		walked = e.forwardPass(ps, st, false)
+	})
+	return walked, tt.Path.Len()
 }
 
 // uncutSegment is backwardSegment as it was before the walk stopped early:

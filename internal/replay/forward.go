@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"prorace/internal/isa"
 	"prorace/internal/synthesis"
@@ -39,8 +40,8 @@ type pathState struct {
 	known  []bool   // per step; true once the address is recovered
 	addrs  []uint64 // recovered address per step
 	// fwdAvail records each step's pre-state register availability from
-	// the latest forward pass, so the backward pass can tell which of its
-	// facts are new.
+	// the latest full forward pass, so the backward pass can tell which of
+	// its facts are new and the second forward pass which loads F1 lacked.
 	fwdAvail []uint16
 	// learned holds backward-derived pre-state register values, one entry
 	// per step in ascending step order, applied by the second forward pass
@@ -49,6 +50,10 @@ type pathState struct {
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
+	// ckpts are the checkpoints of the latest full forward pass, ascending
+	// by step; their emulated-memory entries are stored in ckMem.
+	ckpts []checkpoint
+	ckMem []memEntry
 	// loads tallies address-known loads per address for the thread's
 	// LoadLog when logLoads is set. Reused like mem.
 	loads    map[uint64]loadEntry
@@ -189,6 +194,76 @@ func (ps *pathState) learnedSlot(step int) *regFacts {
 	return &ps.learned[len(ps.learned)-1].facts
 }
 
+// checkpointEvery is the spacing, in steps, of the regular checkpoints a
+// full forward pass saves; it also saves one right after every sample.
+const checkpointEvery = 512
+
+// maxCheckpointMem bounds the emulated-memory entries a checkpoint may
+// hold. A full pass saves no checkpoint where its memory is larger, so a
+// workload that fills emulated memory cannot make checkpoints cost more
+// than the per-step arrays; the second pass then walks on to a sample
+// where one was saved.
+const maxCheckpointMem = 16
+
+// checkpoint is a full forward pass's state in the pre-state of step: its
+// register file and its emulated memory, ckMem[memOff : memOff+memLen].
+type checkpoint struct {
+	step           int
+	rf             regFile
+	memOff, memLen int
+}
+
+type memEntry struct{ addr, val uint64 }
+
+// saveCheckpoint records the pass's state in the pre-state of step, unless
+// its emulated memory is over maxCheckpointMem.
+func (ps *pathState) saveCheckpoint(step int, rf *regFile, mem map[uint64]uint64) {
+	if len(mem) > maxCheckpointMem {
+		return
+	}
+	off := len(ps.ckMem)
+	for addr, v := range mem {
+		ps.ckMem = append(ps.ckMem, memEntry{addr, v})
+	}
+	ps.ckpts = append(ps.ckpts, checkpoint{step: step, rf: *rf, memOff: off, memLen: len(mem)})
+}
+
+// inSyncAt reports whether a second forward pass whose emulated memory
+// holds memLen entries after the sample at step-1 is in the first pass's
+// state at step. Its registers are the sample's in both passes, and its
+// memory contains the first pass's with equal values, so equal sizes mean
+// equal maps (DESIGN.md §10). Without a checkpoint at step it is not.
+func (ps *pathState) inSyncAt(step, memLen int) bool {
+	k := sort.Search(len(ps.ckpts), func(k int) bool { return ps.ckpts[k].step >= step })
+	return k < len(ps.ckpts) && ps.ckpts[k].step == step && ps.ckpts[k].memLen == memLen
+}
+
+// resume loads the last checkpoint at or before step into rf and mem and
+// returns the step it was taken at. The first full-pass step always has
+// one, since memory is empty there.
+func (ps *pathState) resume(step int, rf *regFile, mem map[uint64]uint64) int {
+	ck := &ps.ckpts[sort.Search(len(ps.ckpts), func(k int) bool { return ps.ckpts[k].step > step })-1]
+	*rf = ck.rf
+	clear(mem)
+	for _, en := range ps.ckMem[ck.memOff : ck.memOff+ck.memLen] {
+		mem[en.addr] = en.val
+	}
+	return ck.step
+}
+
+// countTwice accounts for the second forward pass's address-known loads
+// that the first pass also made: every one of them has the same address in
+// both passes (DESIGN.md §10), so both InvalidHits and the LoadLog tally
+// count the first pass's loads twice, and the second pass adds only loads
+// whose address the first pass lacked.
+func (ps *pathState) countTwice(st *Stats) {
+	st.InvalidHits *= 2
+	for addr, en := range ps.loads {
+		en.loads *= 2
+		ps.loads[addr] = en
+	}
+}
+
 // release drops every reference into the thread's trace so a pooled state
 // never pins decoded paths or samples beyond its use.
 func (ps *pathState) release() {
@@ -262,12 +337,13 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 // pass (F2) that applies them. That is the fixed point: F2's state
 // contains F1's at every step, so a further backward pass would learn no
 // new fact and recover no new access, and a third forward pass would
-// repeat F2 (DESIGN.md §10).
+// repeat F2 (DESIGN.md §10). F2 walks only where it can differ from F1.
 func (e *Engine) replayPasses(ps *pathState, st *Stats) {
-	e.forwardPass(ps, st)
+	e.forwardPass(ps, st, true)
 	if e.cfg.Mode == ModeForwardBackward {
 		e.backwardPass(ps, (*Engine).backwardSegment)
-		e.forwardPass(ps, st)
+		ps.countTwice(st)
+		e.forwardPass(ps, st, false)
 	}
 }
 
@@ -290,10 +366,19 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 	}
 }
 
-// forwardPass is the §5.1 forward replay over the whole path: registers are
-// restored at every sample, availability is tracked in the program map, and
-// every memory operand whose address becomes computable is recovered.
-func (e *Engine) forwardPass(ps *pathState, st *Stats) {
+// forwardPass is the §5.1 forward replay over the path: registers are
+// restored at every sample, availability is tracked in the program map,
+// and every memory operand whose address becomes computable is recovered.
+//
+// A full pass walks every step, counts every address-known load, records
+// fwdAvail and saves checkpoints. The fixed schedule's second pass (full
+// false) walks only where it can differ from the full pass before it.
+// Wherever it is in that pass's state, it resumes from the last checkpoint
+// at or before the next learned fact and walks until a sample puts it back
+// in that state; it stops once no fact is left (DESIGN.md §10). It counts
+// only the loads whose address the first pass lacked (countTwice). It
+// returns the steps it walked.
+func (e *Engine) forwardPass(ps *pathState, st *Stats, full bool) (walked int) {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
@@ -311,135 +396,180 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats) {
 	samples := newSampleCursor(ps.tt.Samples)
 	syncs := syncCursor{s: ps.tt.Sync}
 	learned := newFactCursor(ps.learned)
-	for _, run := range ps.tt.Path.Runs {
-		insts := e.p.Insts[run.Inst : run.Inst+run.Len]
-		for k := range insts {
-			// Read the instruction in place: with a per-step copy to the
-			// stack, the loop's speed depended on where the goroutine's
-			// stack sat (DESIGN.md §10, "Reading instructions in place").
-			in := &insts[k]
-			i := int(run.Step) + k
-			pc := isa.IndexToAddr(int(run.Inst) + k)
-			// Apply backward-derived facts for this step's pre-state.
-			if facts := learned.at(i); facts != nil {
-				for r := isa.Reg(0); r < isa.NumRegs; r++ {
-					if facts.avail&(1<<r) != 0 && !rf.has(r) {
-						rf.set(r, facts.val[r])
+	ckNext := math.MaxInt // the next step to checkpoint at
+	if full {
+		ps.ckpts, ps.ckMem = ps.ckpts[:0], ps.ckMem[:0]
+		ckNext = 0
+	}
+	runs := ps.tt.Path.Runs
+	n := ps.tt.Path.Len()
+stretches:
+	for from := 0; from < n; {
+		if !full {
+			// The pass is in the first pass's state at from.
+			if learned.next == math.MaxInt {
+				return walked
+			}
+			from = ps.resume(learned.next, &rf, mem)
+		}
+		for ri := ps.tt.Path.RunAt(from); ri < len(runs); ri++ {
+			run := runs[ri]
+			base := int(run.Inst) - int(run.Step) // step i executes Insts[base+i]
+			first := max(from, int(run.Step))
+			insts := e.p.Insts[base+first : base+run.End()]
+			for k := range insts {
+				// Read the instruction in place: with a per-step copy to the
+				// stack, the loop's speed depended on where the goroutine's
+				// stack sat (DESIGN.md §10, "Reading instructions in place").
+				in := &insts[k]
+				i := first + k
+				pc := isa.IndexToAddr(base + i)
+				if i == ckNext {
+					ps.saveCheckpoint(i, &rf, mem)
+					ckNext = (i/checkpointEvery + 1) * checkpointEvery
+				}
+				// Apply backward-derived facts for this step's pre-state.
+				if facts := learned.at(i); facts != nil {
+					for r := isa.Reg(0); r < isa.NumRegs; r++ {
+						if facts.avail&(1<<r) != 0 && !rf.has(r) {
+							rf.set(r, facts.val[r])
+						}
 					}
 				}
-			}
-			ps.fwdAvail[i] = rf.avail
-
-			// A sampled step: the record supplies the exact address and the
-			// full post-retirement register file.
-			if rec := samples.at(i); rec != nil {
-				if !ps.known[i] {
-					ps.known[i] = true
-					ps.origin[i] = OriginSampled
-					ps.addrs[i] = rec.Addr
-					ps.recovered++
+				// A second pass leaves fwdAvail to the first pass: a load
+				// whose address that pass knew, it counted already
+				// (countTwice).
+				counted := false
+				if full {
+					ps.fwdAvail[i] = rf.avail
+				} else if in.Op == isa.LOAD {
+					counted = addrKnown(in, ps.fwdAvail[i])
 				}
-				rf = regFileFromSample(rec)
-				if e.emulateMemory && !invalidAddr(rec.Addr) {
-					if in.Op == isa.LOAD {
-						// The loaded value is the post-state of rd.
-						mem[rec.Addr] = rf.get(in.Rd)
-					} else if in.Op == isa.STORE {
-						mem[rec.Addr] = rf.get(in.Rs)
+
+				// A sampled step: the record supplies the exact address and
+				// the full post-retirement register file.
+				if rec := samples.at(i); rec != nil {
+					if !ps.known[i] {
+						ps.known[i] = true
+						ps.origin[i] = OriginSampled
+						ps.addrs[i] = rec.Addr
+						ps.recovered++
 					}
+					rf = regFileFromSample(rec)
+					if e.emulateMemory && !invalidAddr(rec.Addr) {
+						if in.Op == isa.LOAD {
+							// The loaded value is the post-state of rd.
+							mem[rec.Addr] = rf.get(in.Rd)
+						} else if in.Op == isa.STORE {
+							mem[rec.Addr] = rf.get(in.Rs)
+						}
+					}
+					if full {
+						ckNext = i + 1
+					} else if ps.inSyncAt(i+1, len(mem)) {
+						walked += i + 1 - from
+						from = i + 1
+						continue stretches
+					}
+					continue
 				}
-				continue
-			}
 
-			switch in.Op {
-			case isa.LOAD, isa.STORE, isa.LEA:
-				addr, okAddr := addrOf(in, &rf, pc)
-				if okAddr && in.IsMemAccess() && !ps.known[i] {
-					ps.known[i] = true
-					ps.origin[i] = OriginForward
-					ps.addrs[i] = addr
-					ps.recovered++
-				}
 				switch in.Op {
-				case isa.LOAD:
-					v, hit := mem[addr]
-					if okAddr && ps.logLoads {
-						en := ps.loads[addr]
-						en.loads++
-						en.memHit = en.memHit || hit
-						ps.loads[addr] = en
+				case isa.LOAD, isa.STORE, isa.LEA:
+					addr, okAddr := addrOf(in, &rf, pc)
+					if okAddr && in.IsMemAccess() && !ps.known[i] {
+						ps.known[i] = true
+						ps.origin[i] = OriginForward
+						ps.addrs[i] = addr
+						ps.recovered++
 					}
-					if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
+					switch in.Op {
+					case isa.LOAD:
+						v, hit := mem[addr]
+						if okAddr && ps.logLoads {
+							en := ps.loads[addr]
+							if !counted {
+								en.loads++
+							}
+							en.memHit = en.memHit || hit
+							ps.loads[addr] = en
+						}
+						if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
+							rf.set(in.Rd, v)
+						} else {
+							if okAddr && !counted && invalidAddr(addr) {
+								st.InvalidHits++
+							}
+							rf.clear(in.Rd)
+						}
+					case isa.STORE:
+						if !okAddr {
+							// A store to an unknown location may clobber
+							// anything: conservatively invalidate the
+							// emulated memory (§5.1).
+							memDrop()
+						} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
+							mem[addr] = rf.get(in.Rs)
+						} else {
+							delete(mem, addr)
+						}
+					case isa.LEA:
+						if okAddr {
+							rf.set(in.Rd, addr)
+						} else {
+							rf.clear(in.Rd)
+						}
+					}
+
+				case isa.MOVI:
+					rf.set(in.Rd, uint64(in.Imm))
+				case isa.MOV:
+					if rf.has(in.Rs) {
+						rf.set(in.Rd, rf.get(in.Rs))
+					} else {
+						rf.clear(in.Rd)
+					}
+				case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
+					if rf.has(in.Rd) && rf.has(in.Rs) {
+						v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
 						rf.set(in.Rd, v)
 					} else {
-						if okAddr && invalidAddr(addr) {
-							st.InvalidHits++
+						rf.clear(in.Rd)
+					}
+				case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
+					if rf.has(in.Rd) {
+						v, _ := in.ALU(rf.get(in.Rd), 0)
+						rf.set(in.Rd, v)
+					} else {
+						rf.clear(in.Rd)
+					}
+				case isa.SYSCALL:
+					// Emulated memory cannot be trusted across a syscall
+					// (§5.1).
+					memDrop()
+					if rec := syncs.at(i); rec != nil {
+						switch rec.Kind {
+						case tracefmt.SyncMalloc, tracefmt.SyncThreadCreate:
+							// The sync log records the result, so the replay
+							// can restore it — this is how heap pointers
+							// obtained from malloc become available offline.
+							rf.set(isa.R0, rec.Addr)
+						case tracefmt.SyncThreadJoin:
+							rf.clear(isa.R0) // exit code not logged
+						default:
+							rf.set(isa.R0, 0)
 						}
-						rf.clear(in.Rd)
-					}
-				case isa.STORE:
-					if !okAddr {
-						// A store to an unknown location may clobber anything:
-						// conservatively invalidate the emulated memory (§5.1).
-						memDrop()
-					} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
-						mem[addr] = rf.get(in.Rs)
 					} else {
-						delete(mem, addr)
+						rf.clear(isa.R0)
 					}
-				case isa.LEA:
-					if okAddr {
-						rf.set(in.Rd, addr)
-					} else {
-						rf.clear(in.Rd)
-					}
+				default:
+					// CMP/CMPI set flags only; branches are path-driven.
 				}
-
-			case isa.MOVI:
-				rf.set(in.Rd, uint64(in.Imm))
-			case isa.MOV:
-				if rf.has(in.Rs) {
-					rf.set(in.Rd, rf.get(in.Rs))
-				} else {
-					rf.clear(in.Rd)
-				}
-			case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
-				if rf.has(in.Rd) && rf.has(in.Rs) {
-					v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
-					rf.set(in.Rd, v)
-				} else {
-					rf.clear(in.Rd)
-				}
-			case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-				if rf.has(in.Rd) {
-					v, _ := in.ALU(rf.get(in.Rd), 0)
-					rf.set(in.Rd, v)
-				} else {
-					rf.clear(in.Rd)
-				}
-			case isa.SYSCALL:
-				// Emulated memory cannot be trusted across a syscall (§5.1).
-				memDrop()
-				if rec := syncs.at(i); rec != nil {
-					switch rec.Kind {
-					case tracefmt.SyncMalloc, tracefmt.SyncThreadCreate:
-						// The sync log records the result, so the replay can
-						// restore it — this is how heap pointers obtained from
-						// malloc become available offline.
-						rf.set(isa.R0, rec.Addr)
-					case tracefmt.SyncThreadJoin:
-						rf.clear(isa.R0) // exit code not logged
-					default:
-						rf.set(isa.R0, 0)
-					}
-				} else {
-					rf.clear(isa.R0)
-				}
-			default:
-				// CMP/CMPI set flags only; branches are path-driven.
 			}
 		}
+		return walked + n - from
 	}
+	return walked
 }
 
 // collect turns the per-step recovery state into the access list. The

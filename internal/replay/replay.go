@@ -333,11 +333,19 @@ func regFileFromSample(rec *tracefmt.PEBSRecord) regFile {
 // addrOf computes a memory operand's effective address under availability
 // tracking; ok is false when a required register is unavailable.
 func addrOf(in *isa.Inst, rf *regFile, pc uint64) (uint64, bool) {
-	var regBuf [2]isa.Reg
-	for _, r := range in.AppendAddrRegs(regBuf[:0]) {
-		if !rf.has(r) {
-			return 0, false
-		}
+	if !addrKnown(in, rf.avail) {
+		return 0, false
 	}
 	return in.EffectiveAddress(func(r isa.Reg) uint64 { return rf.get(r) }, pc), true
+}
+
+// addrKnown reports whether every address register of in is in avail.
+func addrKnown(in *isa.Inst, avail uint16) bool {
+	var regBuf [2]isa.Reg
+	for _, r := range in.AppendAddrRegs(regBuf[:0]) {
+		if avail&(1<<r) == 0 {
+			return false
+		}
+	}
+	return true
 }

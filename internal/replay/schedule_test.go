@@ -37,18 +37,11 @@ func TestTwoPassScheduleMatchesFixedPoint(t *testing.T) {
 			continue
 		}
 		apps[bug.App] = true
-		built := bug.Build(1)
 		for _, period := range periods {
 			for seed := int64(1); seed <= 3; seed++ {
-				tr, err := core.TraceProgram(built.Workload.Program, core.TraceOptions{
-					Kind: driver.ProRace, Period: period, Seed: seed, EnablePT: true,
-					Machine: built.Workload.Machine,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				built, tr := traceBug(t, bug, period, seed)
 				name := fmt.Sprintf("%s period=%d seed=%d", bug.ID, period, seed)
-				n, inv := matchRoundLoop(t, name, built.Workload.Program, tr.Trace)
+				n, inv := matchRoundLoop(t, name, built.Workload.Program, tr)
 				threads, invalidated = threads+n, invalidated+inv
 			}
 		}

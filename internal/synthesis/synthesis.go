@@ -221,6 +221,9 @@ func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 	}
 	var steps []pathSys
 	for _, r := range tt.Path.Runs {
+		if p.SyscallsIn(int(r.Inst), int(r.Inst+r.Len)) == 0 {
+			continue
+		}
 		for k, in := range p.Insts[r.Inst : r.Inst+r.Len] {
 			if in.Op != isa.SYSCALL {
 				continue
