@@ -20,7 +20,7 @@ func TestAllBugsBuildAndValidate(t *testing.T) {
 	types := map[bugs.AccessType]int{}
 	for _, b := range bs {
 		types[b.Type]++
-		built := b.Build(1)
+		built := build(b)
 		if err := built.Workload.Program.Validate(); err != nil {
 			t.Errorf("%s: %v", b.ID, err)
 		}
@@ -56,21 +56,16 @@ func TestByID(t *testing.T) {
 }
 
 // runOnce traces and analyzes one bug run, returning whether the planted
-// race was detected.
+// race was detected. Runs are shared across the package's tests.
 func runOnce(t *testing.T, built *bugs.Built, period uint64, seed int64, prorace bool) bool {
 	t.Helper()
 	topts := racez.TraceOptions(period, seed, built.Workload.Machine)
 	aopts := racez.AnalysisOptions()
 	if prorace {
-		topts = core.TraceOptions{Kind: driver.ProRace, Period: period, Seed: seed,
-			EnablePT: true, Machine: built.Workload.Machine}
+		topts = core.TraceOptions{Kind: driver.ProRace, Period: period, Seed: seed, EnablePT: true}
 		aopts = core.AnalysisOptions{}
 	}
-	res, err := core.Run(built.Workload.Program, topts, aopts)
-	if err != nil {
-		t.Fatalf("%s: %v", built.Bug.ID, err)
-	}
-	return built.Detected(res.AnalysisResult.Reports)
+	return traceRun(t, built, topts).detect(t, built, aopts)
 }
 
 func TestPCRelBugsAlwaysDetected(t *testing.T) {
@@ -81,7 +76,7 @@ func TestPCRelBugsAlwaysDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := b.Build(1)
+		built := build(b)
 		hits := 0
 		const trials = 6
 		for seed := int64(1); seed <= trials; seed++ {
@@ -102,7 +97,7 @@ func TestIndirectBugsDetectableAtSmallPeriod(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := b.Build(1)
+		built := build(b)
 		hits := 0
 		const trials = 6
 		for seed := int64(1); seed <= trials; seed++ {
@@ -128,7 +123,7 @@ func TestProRaceBeatsRaceZ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := b.Build(1)
+		built := build(b)
 		for seed := int64(1); seed <= trials; seed++ {
 			if runOnce(t, built, 1000, seed, true) {
 				proHits++
@@ -149,7 +144,7 @@ func TestDetectionImprovesWithSmallerPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := b.Build(1)
+	built := build(b)
 	count := func(period uint64) int {
 		hits := 0
 		for seed := int64(1); seed <= 8; seed++ {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"prorace/internal/bugs"
-	"prorace/internal/pmu/driver"
 	"prorace/internal/synthesis"
 )
 
@@ -13,19 +12,7 @@ import (
 // planted race and drive the §5.1 invalidation/regeneration rounds.
 func racyTrace(t *testing.T) (*bugs.Built, *TraceResult) {
 	t.Helper()
-	bug, err := bugs.ByID("mysql-3596")
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := bug.Build(1)
-	tr, err := TraceProgram(built.Workload.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 200, Seed: 4, EnablePT: true,
-		Machine: built.Workload.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return built, tr
+	return bugTrace(t, "mysql-3596", 200, 4)
 }
 
 // mustMatch asserts two analyses are byte-identical where determinism is

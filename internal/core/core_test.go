@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"prorace/internal/bugs"
 	"prorace/internal/pmu/driver"
 	"prorace/internal/replay"
 	"prorace/internal/workload"
@@ -30,13 +29,7 @@ func TestTraceProgramMeasuresOverhead(t *testing.T) {
 }
 
 func TestTraceProgramWithoutOverhead(t *testing.T) {
-	w := workload.Apache(1)
-	res, err := TraceProgram(w.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 1000, Seed: 3, EnablePT: true, Machine: w.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := apacheTrace(t)
 	if res.BaseStats.Cycles != 0 || res.Overhead != 0 {
 		t.Error("baseline must be skipped when MeasureOverhead is false")
 	}
@@ -56,13 +49,7 @@ func TestDefaultPeriodApplied(t *testing.T) {
 }
 
 func TestAnalyzeTimingsPopulated(t *testing.T) {
-	w := workload.Apache(1)
-	tr, err := TraceProgram(w.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 1000, Seed: 3, EnablePT: true, Machine: w.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, tr := apacheTrace(t)
 	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,21 +76,14 @@ func TestRaceFeedbackRegeneration(t *testing.T) {
 	// A racy workload whose reconstruction uses memory emulation: after
 	// detection the §5.1 feedback loop must regenerate with the racy
 	// locations invalidated — and still detect the race.
-	bug, err := bugs.ByID("pfscan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := bug.Build(1)
 	found := false
 	for seed := int64(1); seed <= 4; seed++ {
-		res, err := Run(built.Workload.Program,
-			TraceOptions{Kind: driver.ProRace, Period: 1000, Seed: seed,
-				EnablePT: true, Machine: built.Workload.Machine},
-			AnalysisOptions{})
+		built, tr := bugTrace(t, "pfscan", 1000, seed)
+		ar, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if built.Detected(res.AnalysisResult.Reports) {
+		if built.Detected(ar.Reports) {
 			found = true
 		}
 	}
@@ -113,18 +93,7 @@ func TestRaceFeedbackRegeneration(t *testing.T) {
 }
 
 func TestRaceFeedbackCanBeDisabled(t *testing.T) {
-	bug, err := bugs.ByID("pfscan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := bug.Build(1)
-	tr, err := TraceProgram(built.Workload.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 1000, Seed: 2, EnablePT: true,
-		Machine: built.Workload.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, tr := bugTrace(t, "pfscan", 1000, 2)
 	ar, err := Analyze(built.Workload.Program, tr.Trace, AnalysisOptions{
 		DisableRaceFeedback: true,
 	})

@@ -158,18 +158,7 @@ func reportKeys(res *AnalysisResult) [][2]uint64 {
 }
 
 func TestStrictLenientIdenticalOnCleanTrace(t *testing.T) {
-	bug, err := bugs.ByID("apache-21287")
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := bug.Build(1)
-	tr, err := TraceProgram(built.Workload.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 500, Seed: 2, EnablePT: true,
-		Machine: built.Workload.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, tr := bugTrace(t, "apache-21287", 500, 2)
 
 	for _, workers := range []int{0, -1} {
 		opts := AnalysisOptions{Workers: workers}
@@ -207,18 +196,7 @@ func TestStrictLenientIdenticalOnCleanTrace(t *testing.T) {
 }
 
 func TestStrictAbortsOnCorruptPT(t *testing.T) {
-	bug, err := bugs.ByID("apache-21287")
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := bug.Build(1)
-	tr, err := TraceProgram(built.Workload.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 500, Seed: 2, EnablePT: true,
-		Machine: built.Workload.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, tr := bugTrace(t, "apache-21287", 500, 2)
 	spec := &faultinject.Spec{Seed: 11, Faults: []faultinject.Fault{{Kind: faultinject.PTFlip, Rate: 0.2}}}
 
 	strict := AnalysisOptions{Strict: true, FaultSpec: spec}

@@ -89,16 +89,9 @@ func TestFeedbackReuseMatchesFullRegeneration(t *testing.T) {
 			continue
 		}
 		apps[bug.App] = true
-		built := bug.Build(1)
 		for _, period := range periods {
 			for _, seed := range []int64{1} {
-				tr, err := TraceProgram(built.Workload.Program, TraceOptions{
-					Kind: driver.ProRace, Period: period, Seed: seed, EnablePT: true,
-					Machine: built.Workload.Machine,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				built, tr := bugTrace(t, bug.ID, period, seed)
 				name := fmt.Sprintf("%s period=%d seed=%d", bug.ID, period, seed)
 				want, _ := checkMatchesFullRegeneration(t, name, built.Workload.Program, tr.Trace)
 				traces++

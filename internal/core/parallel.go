@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"prorace/internal/prog"
+	"prorace/internal/ptdecode"
 	"prorace/internal/replay"
 	"prorace/internal/synthesis"
 	"prorace/internal/telemetry"
@@ -47,12 +48,15 @@ func synthesizeThreads(p *prog.Program, tr *tracefmt.Trace, workers int, sopts s
 		mu    sync.Mutex
 		out   = map[int32]*synthesis.ThreadTrace{}
 		terrs []*ThreadError
+		// One scratch per analysis, so its run buffers warm once per
+		// call and the call allocates the same on every run.
+		scratch = new(ptdecode.Scratch)
 	)
 	fanOut(tr.TIDs(), workers, func(tid int32) {
 		var tt *synthesis.ThreadTrace
 		te := runWithRetry(tid, "synthesis", retries, func() error {
 			var err error
-			tt, err = synthesis.SynthesizeThreadWith(p, tr, tid, sopts)
+			tt, err = synthesis.SynthesizeThreadScratch(p, tr, tid, sopts, scratch)
 			return err
 		})
 		mu.Lock()

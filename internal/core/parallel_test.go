@@ -6,7 +6,6 @@ import (
 
 	"prorace/internal/bugs"
 	"prorace/internal/pmu/driver"
-	"prorace/internal/workload"
 )
 
 func TestParallelAnalysisMatchesSequential(t *testing.T) {
@@ -138,13 +137,7 @@ func TestWorkerCountResolution(t *testing.T) {
 }
 
 func TestParallelAnalysisDefaultWorkers(t *testing.T) {
-	w := workload.Apache(1)
-	tr, err := TraceProgram(w.Program, TraceOptions{
-		Kind: driver.ProRace, Period: 1000, Seed: 3, EnablePT: true, Machine: w.Machine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, tr := apacheTrace(t)
 	ar, err := Analyze(w.Program, tr.Trace, AnalysisOptions{Workers: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -3,33 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"prorace/internal/faultinject"
-	"prorace/internal/pmu/driver"
 	"prorace/internal/prog"
-	"prorace/internal/progtest"
 	"prorace/internal/report"
 	"prorace/internal/synthesis"
 	"prorace/internal/telemetry"
 	"prorace/internal/tracefmt"
 )
-
-// oracleTrace returns a densely sampled trace of a small oracle-generated
-// concurrent program — racy (several reports), §5.1-regenerating, and small
-// enough that the full equivalence matrix stays cheap.
-func oracleTrace(t *testing.T) (*prog.Program, *TraceResult) {
-	t.Helper()
-	p, _ := progtest.ConcurrentProgram(rand.New(rand.NewSource(7)))
-	tr, err := TraceProgram(p, TraceOptions{Kind: driver.ProRace, Period: 2, Seed: 7, EnablePT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, tr
-}
 
 // sessionMatrix is the segment-equivalence sweep: every segment count ×
 // worker count, clean and fault-injected. The contract under test is the
@@ -45,8 +29,8 @@ func sessionMatrix(short bool) (segs, workers []int) {
 }
 
 // pipelineCounters strips the session-layer series (segment acceptance
-// accounting, absent by construction from a one-shot run) and the pooled
-// pathState recycle tally (sync.Pool warmth — allocation behaviour, not
+// accounting, absent by construction from a one-shot run) and the
+// pathState recycle tally (warm-state reuse — allocation behaviour, not
 // pipeline output) so the remaining counters — decode, synthesis, replay,
 // detection, feedback — can be compared exactly between a one-shot and a
 // segmented analysis.

@@ -12,13 +12,18 @@ type TID int32
 // Tracer. This is the observation point the simulated PMU (PEBS and PT)
 // hangs off: PEBS counts the events with IsMem set, PT consumes the branch
 // fields.
+//
+// The machine owns the event and refills it for every instruction, so the
+// pointer a Tracer receives (like the Regs and Inst it points at) is valid
+// only during the callback. A tracer copies whatever it keeps.
 type InstEvent struct {
 	TID  TID
 	Core int
 	// PC is the address of the retired instruction.
 	PC uint64
-	// Inst is the decoded instruction.
-	Inst isa.Inst
+	// Inst points at the decoded instruction in the program's text; it
+	// must not be modified.
+	Inst *isa.Inst
 	// TSC is the invariant timestamp counter at retirement.
 	TSC uint64
 	// MemAddr is the effective address for loads and stores.
@@ -56,7 +61,8 @@ type SyscallEvent struct {
 // Tracer observes the execution. The uint64 each callback returns is the
 // number of extra cycles tracing steals from the executing core — the
 // mechanism by which PMU driver costs turn into measurable runtime
-// overhead, reproducing the paper's Figures 6, 7 and 10.
+// overhead, reproducing the paper's Figures 6, 7 and 10. Event pointers
+// passed to a Tracer are valid only for the duration of the call.
 type Tracer interface {
 	// InstRetired is called after every retired instruction.
 	InstRetired(ev *InstEvent) (stallCycles uint64)

@@ -6,25 +6,25 @@ import (
 
 // step retires one instruction of the thread on core ci, delivers tracer
 // events, and applies quantum-based preemption.
+//
+// This is the simulator's per-instruction path, so it allocates nothing
+// and copies no instruction: it reads the instruction in place from the
+// program text and fills the machine's one InstEvent field by field.
 func (m *Machine) step(ci int) {
 	c := &m.cores[ci]
 	t := m.threads[c.tid]
-	in, ok := m.prog.InstAt(t.PC)
-	if !ok {
+	idx, ok := isa.AddrToIndex(t.PC)
+	if !ok || idx >= len(m.prog.Insts) {
 		// Running off the text segment kills the thread, like a SIGSEGV on
 		// a wild jump.
 		m.exitThread(ci, ^uint64(0))
 		return
 	}
+	in := &m.prog.Insts[idx]
 
-	ev := InstEvent{
-		TID:  t.ID,
-		Core: ci,
-		PC:   t.PC,
-		Inst: in,
-		TSC:  m.cycle,
-		Regs: &t.Regs,
-	}
+	ev := &m.ev
+	ev.TID, ev.Core, ev.PC, ev.Inst, ev.TSC, ev.Regs = t.ID, ci, t.PC, in, m.cycle, &t.Regs
+	ev.MemAddr, ev.IsMem, ev.IsStore, ev.Taken, ev.Target = 0, false, false, false, 0
 	nextPC := t.PC + isa.InstSize
 	memAddr := uint64(0)
 	if in.HasMemOperand() {
@@ -81,25 +81,25 @@ func (m *Machine) step(ci int) {
 		} else {
 			// Returning from the outermost frame ends the thread.
 			t.retired++
-			m.deliverInst(ci, &ev)
+			m.deliverInst(ci, ev)
 			m.exitThread(ci, t.Regs[isa.R0])
 			return
 		}
 	case isa.SYSCALL:
 		t.retired++
-		m.deliverInst(ci, &ev)
+		m.deliverInst(ci, ev)
 		m.doSyscall(ci, in.Sys)
 		return
 	case isa.HALT:
 		t.retired++
-		m.deliverInst(ci, &ev)
+		m.deliverInst(ci, ev)
 		m.exitThread(ci, t.Regs[isa.R0])
 		return
 	}
 
 	t.PC = nextPC
 	t.retired++
-	m.deliverInst(ci, &ev)
+	m.deliverInst(ci, ev)
 
 	// Quantum accounting and preemption.
 	c.quantum--

@@ -184,6 +184,15 @@ type Machine struct {
 
 	schedPos uint64
 
+	// sleepNext is the earliest wakeAt among threads in stSleeping
+	// (noSleeper when there are none), so wakeSleepers scans the threads
+	// only when a wake is due. Only wakeSleepers moves a thread out of
+	// stSleeping, so the value stays exact.
+	sleepNext uint64
+
+	// ev is the event step fills for every retired instruction.
+	ev InstEvent
+
 	stats Stats
 }
 
@@ -243,6 +252,7 @@ func New(p *prog.Program, cfg Config) *Machine {
 		heapNext:  isa.HeapBase,
 		allocSize: map[uint64]uint64{},
 		freeLists: map[uint64][]uint64{},
+		sleepNext: noSleeper,
 	}
 	m.Mem.WriteBytes(isa.DataBase, p.Data)
 	m.cores = make([]coreState, cfg.Cores)
@@ -438,6 +448,7 @@ func (m *Machine) sleepCurrent(ci int, wakeAt uint64) {
 	t.state = stSleeping
 	t.wakeAt = wakeAt
 	c.tid = -1
+	m.sleepNext = min(m.sleepNext, wakeAt)
 }
 
 // wake moves a blocked or sleeping thread back to the run queue.
@@ -450,10 +461,24 @@ func (m *Machine) wake(tid TID) {
 	m.runq = append(m.runq, tid)
 }
 
+// noSleeper is sleepNext's value while no thread sleeps.
+const noSleeper = ^uint64(0)
+
+// wakeSleepers wakes, in thread-ID order, every sleeper whose wake time
+// has come. It returns at once until the earliest wake time is due.
 func (m *Machine) wakeSleepers() {
+	if m.sleepNext > m.cycle {
+		return
+	}
+	m.sleepNext = noSleeper
 	for _, t := range m.threads {
-		if t.state == stSleeping && t.wakeAt <= m.cycle {
+		if t.state != stSleeping {
+			continue
+		}
+		if t.wakeAt <= m.cycle {
 			m.wake(t.ID)
+		} else {
+			m.sleepNext = min(m.sleepNext, t.wakeAt)
 		}
 	}
 }
@@ -467,10 +492,8 @@ func (m *Machine) nextWake() (uint64, bool) {
 			next, found = c, true
 		}
 	}
-	for _, t := range m.threads {
-		if t.state == stSleeping {
-			consider(t.wakeAt)
-		}
+	if m.sleepNext != noSleeper {
+		consider(m.sleepNext)
 	}
 	for i := range m.cores {
 		if m.cores[i].tid >= 0 && m.cores[i].stallUntil > m.cycle {

@@ -11,12 +11,25 @@ const (
 
 type page [pageSize]byte
 
+// pageCacheSize is the number of entries in Memory's direct-mapped cache
+// of recently used pages (a power of two).
+const pageCacheSize = 64
+
+type pageCacheEntry struct {
+	pn uint64
+	p  *page
+}
+
 // Memory is the machine's byte-addressable sparse memory. Reads of unmapped
 // pages return zeroes; writes allocate pages on demand. All threads share
 // one Memory — data races in the workload are real races on these bytes
 // (made deterministic per run by the seeded scheduler).
 type Memory struct {
 	pages map[uint64]*page
+	// cache fronts pages, indexed by the page number's low bits, so a load
+	// or store to a recently used page skips the map. Pages are never
+	// freed, so an entry stays valid once filled.
+	cache [pageCacheSize]pageCacheEntry
 }
 
 // NewMemory returns an empty memory.
@@ -26,11 +39,19 @@ func NewMemory() *Memory {
 
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageBits
+	e := &m.cache[pn&(pageCacheSize-1)]
+	if e.p != nil && e.pn == pn {
+		return e.p
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new(page)
 		m.pages[pn] = p
 	}
+	e.pn, e.p = pn, p
 	return p
 }
 

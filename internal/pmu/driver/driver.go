@@ -160,14 +160,21 @@ type Driver struct {
 
 	trace *tracefmt.Trace
 
-	nextPoll    uint64
-	pollDebt    uint64
-	pollCharged map[int32]bool
-	ptFraction  map[int32]float64 // accumulated fractional PT cost
-	ptBegun     map[int32]bool    // threads whose PT stream has its anchor
+	nextPoll uint64
+	pollDebt uint64
+	// threads is the per-thread state, indexed by TID: the machine numbers
+	// threads densely from 0.
+	threads []threadState
 
 	tel        *telemetry.Registry
 	interrupts uint64 // DS drains with records: ring wraps / segment swaps
+}
+
+// threadState is the driver's per-thread state.
+type threadState struct {
+	pollCharged bool    // charged its share of the current poll debt
+	ptBegun     bool    // PT stream has its anchor
+	ptFraction  float64 // accumulated fractional PT cost
 }
 
 // New builds a driver for the machine. Attach it with m.SetTracer before
@@ -188,12 +195,9 @@ func New(m *machine.Machine, opts Options) *Driver {
 			MaxBusyFrac:       costs.MaxBusyFrac,
 			DSBufferRecords:   opts.DSBufferRecords,
 		}),
-		sync:        synctrace.New(),
-		trace:       tracefmt.NewTrace(m.Program().Name, opts.Period, opts.Seed),
-		pollCharged: map[int32]bool{},
-		ptFraction:  map[int32]float64{},
-		ptBegun:     map[int32]bool{},
-		tel:         opts.Telemetry,
+		sync:  synctrace.New(),
+		trace: tracefmt.NewTrace(m.Program().Name, opts.Period, opts.Seed),
+		tel:   opts.Telemetry,
 	}
 	if opts.EnablePT {
 		filters := opts.Filters
@@ -210,6 +214,10 @@ func New(m *machine.Machine, opts Options) *Driver {
 func (d *Driver) InstRetired(ev *machine.InstEvent) uint64 {
 	var stall uint64
 	tid := int32(ev.TID)
+	for int(tid) >= len(d.threads) {
+		d.threads = append(d.threads, threadState{})
+	}
+	ts := &d.threads[tid]
 
 	// Perf tool polling: one poller process per machine. When a core is
 	// idle the poll runs there for free; on a saturated machine it steals
@@ -220,16 +228,18 @@ func (d *Driver) InstRetired(ev *machine.InstEvent) uint64 {
 	if ev.TSC >= d.nextPoll {
 		if d.nextPoll != 0 && !d.m.HasIdleCore() {
 			d.pollDebt = d.costs.PollCost
-			for t := range d.pollCharged {
-				delete(d.pollCharged, t)
+			for i := range d.threads {
+				d.threads[i].pollCharged = false
 			}
 		}
 		if d.nextPoll != 0 && d.pt != nil {
 			// Flush accumulated PT bytes to the trace file in one batched
 			// write: occupies the file bus but is asynchronous.
 			total := 0
-			for t := range d.ptBegun {
-				total += d.pt.PendingBytes(t)
+			for t := range d.threads {
+				if d.threads[t].ptBegun {
+					total += d.pt.PendingBytes(int32(t))
+				}
 			}
 			if total > 0 {
 				d.m.OccupyFileBus(uint64(total))
@@ -237,33 +247,33 @@ func (d *Driver) InstRetired(ev *machine.InstEvent) uint64 {
 		}
 		d.nextPoll = ev.TSC + d.costs.PollIntervalCycles
 	}
-	if d.pollDebt > 0 && !d.pollCharged[tid] {
+	if d.pollDebt > 0 && !ts.pollCharged {
 		chunk := d.costs.PollCost / uint64(d.m.Cores())
 		if chunk == 0 || chunk > d.pollDebt {
 			chunk = d.pollDebt
 		}
 		stall += chunk
 		d.pollDebt -= chunk
-		d.pollCharged[tid] = true
+		ts.pollCharged = true
 	}
 
 	// PT control-flow tracing.
 	if d.pt != nil {
-		if !d.ptBegun[tid] {
+		if !ts.ptBegun {
 			// TIP.PGE equivalent: anchor the stream at the thread's first
 			// traced instruction.
 			d.pt.Begin(tid, ev.PC, ev.TSC)
-			d.ptBegun[tid] = true
+			ts.ptBegun = true
 		}
 		if ev.Inst.IsBranch() {
 			n := d.pt.OnBranch(ev)
 			if n > 0 {
-				f := d.ptFraction[tid] + float64(n)*d.costs.PTPerByte
+				f := ts.ptFraction + float64(n)*d.costs.PTPerByte
 				if whole := uint64(f); whole > 0 {
 					stall += whole
 					f -= float64(whole)
 				}
-				d.ptFraction[tid] = f
+				ts.ptFraction = f
 			}
 		}
 	}

@@ -77,9 +77,12 @@ type threadState struct {
 
 // Unit is the per-run sampling state across all threads.
 type Unit struct {
-	cfg     Config
-	rng     *rand.Rand
-	threads map[int32]*threadState
+	cfg Config
+	rng *rand.Rand
+	// threads is indexed by TID; an entry is created at the thread's first
+	// event, when its random first period is drawn, so the rng's draw
+	// order follows the order in which threads first touch the unit.
+	threads []*threadState
 	// Dropped counts samples discarded by the store-spacing rule.
 	Dropped uint64
 	// Throttled counts events skipped while the counter was suspended by
@@ -91,9 +94,8 @@ type Unit struct {
 func New(cfg Config) *Unit {
 	cfg.setDefaults()
 	return &Unit{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		threads: map[int32]*threadState{},
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -101,15 +103,20 @@ func New(cfg Config) *Unit {
 func (u *Unit) Period() uint64 { return u.cfg.Period }
 
 func (u *Unit) state(tid int32) *threadState {
-	ts := u.threads[tid]
-	if ts == nil {
-		first := u.cfg.Period
-		if u.cfg.RandomFirstPeriod {
-			first = 1 + uint64(u.rng.Int63n(int64(u.cfg.Period)))
+	if int(tid) < len(u.threads) {
+		if ts := u.threads[tid]; ts != nil {
+			return ts
 		}
-		ts = &threadState{remaining: first}
-		u.threads[tid] = ts
 	}
+	for int(tid) >= len(u.threads) {
+		u.threads = append(u.threads, nil)
+	}
+	first := u.cfg.Period
+	if u.cfg.RandomFirstPeriod {
+		first = 1 + uint64(u.rng.Int63n(int64(u.cfg.Period)))
+	}
+	ts := &threadState{remaining: first}
+	u.threads[tid] = ts
 	return ts
 }
 
@@ -198,8 +205,8 @@ func (u *Unit) Drain(tid int32) []tracefmt.PEBSRecord {
 func (u *Unit) DrainAll() map[int32][]tracefmt.PEBSRecord {
 	out := map[int32][]tracefmt.PEBSRecord{}
 	for tid, ts := range u.threads {
-		if len(ts.buf) > 0 {
-			out[tid] = ts.buf
+		if ts != nil && len(ts.buf) > 0 {
+			out[int32(tid)] = ts.buf
 			ts.buf = nil
 		}
 	}

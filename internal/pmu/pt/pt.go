@@ -74,8 +74,9 @@ type threadStream struct {
 
 // Unit is the per-run PT state across all threads.
 type Unit struct {
-	cfg     Config
-	threads map[int32]*threadStream
+	cfg Config
+	// threads is indexed by TID; nil until the thread's stream starts.
+	threads []*threadStream
 	// Branches counts branch events seen (post-filter).
 	Branches uint64
 }
@@ -91,15 +92,20 @@ func New(cfg Config) *Unit {
 	if len(cfg.Filters) > MaxFilterRanges {
 		cfg.Filters = cfg.Filters[:MaxFilterRanges]
 	}
-	return &Unit{cfg: cfg, threads: map[int32]*threadStream{}}
+	return &Unit{cfg: cfg}
 }
 
 func (u *Unit) stream(tid int32) *threadStream {
-	s := u.threads[tid]
-	if s == nil {
-		s = &threadStream{}
-		u.threads[tid] = s
+	if int(tid) < len(u.threads) {
+		if s := u.threads[tid]; s != nil {
+			return s
+		}
 	}
+	for int(tid) >= len(u.threads) {
+		u.threads = append(u.threads, nil)
+	}
+	s := &threadStream{}
+	u.threads[tid] = s
 	return s
 }
 
@@ -282,9 +288,12 @@ func (u *Unit) Mark(tid int32, tsc uint64) {
 func (u *Unit) Finish() map[int32][]byte {
 	out := map[int32][]byte{}
 	for tid, s := range u.threads {
+		if s == nil {
+			continue
+		}
 		s.flushRuns()
 		s.buf = tracefmt.AppendEnd(s.buf)
-		out[tid] = s.buf
+		out[int32(tid)] = s.buf
 	}
 	return out
 }
@@ -303,7 +312,9 @@ func (u *Unit) PendingBytes(tid int32) int {
 func (u *Unit) TotalBytes() int {
 	n := 0
 	for _, s := range u.threads {
-		n += len(s.buf)
+		if s != nil {
+			n += len(s.buf)
+		}
 	}
 	return n
 }

@@ -11,14 +11,14 @@ import (
 func condEvent(tid int32, pc uint64, taken bool, tsc uint64) *machine.InstEvent {
 	return &machine.InstEvent{
 		TID: machine.TID(tid), PC: pc, TSC: tsc, Taken: taken,
-		Inst: isa.Inst{Op: isa.JNE, Imm: int64(pc)},
+		Inst: &isa.Inst{Op: isa.JNE, Imm: int64(pc)},
 	}
 }
 
 func retEvent(tid int32, pc, target, tsc uint64) *machine.InstEvent {
 	return &machine.InstEvent{
 		TID: machine.TID(tid), PC: pc, TSC: tsc, Target: target,
-		Inst: isa.Inst{Op: isa.RET},
+		Inst: &isa.Inst{Op: isa.RET},
 	}
 }
 
@@ -237,7 +237,7 @@ func TestRetCompression(t *testing.T) {
 	// CALL pushes the return address; a matching RET becomes one taken
 	// bit instead of a 9-byte TIP (real PT's RET compression).
 	call := &machine.InstEvent{TID: 0, PC: 0x400000, TSC: 1, Target: 0x400100,
-		Inst: isa.Inst{Op: isa.CALL, Imm: 0x400100}}
+		Inst: &isa.Inst{Op: isa.CALL, Imm: 0x400100}}
 	u.OnBranch(call)
 	ret := retEvent(0, 0x400140, 0x400000+isa.InstSize, 2)
 	u.OnBranch(ret)
@@ -263,7 +263,7 @@ func TestRetCompression(t *testing.T) {
 func TestIndirectCallEmitsTIP(t *testing.T) {
 	u := New(Config{})
 	u.OnBranch(&machine.InstEvent{TID: 0, PC: 0x400000, TSC: 1, Target: 0x400200,
-		Inst: isa.Inst{Op: isa.CALLR, Rs: isa.R1}})
+		Inst: &isa.Inst{Op: isa.CALLR, Rs: isa.R1}})
 	_, tips := decodeOutcomes(t, u.Finish()[0])
 	if len(tips) != 1 || tips[0] != 0x400200 {
 		t.Fatalf("indirect call tips = %v", tips)

@@ -155,11 +155,11 @@ func decodeSteps(p *prog.Program, tid int32, stream []byte, opts Options) (pcs [
 			}
 			pc = target
 		case in.Op == isa.RET:
-			if d.bits.len() == 0 && d.tips.len() == 0 {
+			if d.tntN == 0 && d.tips.len() == 0 {
 				d.refill()
 			}
 			switch {
-			case d.bits.len() > 0:
+			case d.tntN > 0:
 				taken, _ := d.nextBit()
 				n := len(d.stack)
 				if !taken || n == 0 {

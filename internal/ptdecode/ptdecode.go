@@ -135,13 +135,10 @@ type Options struct {
 	MaxSteps int
 	// Lenient enables gap recovery instead of first-error abort.
 	Lenient bool
+	// Scratch lends the decode a warm run buffer. Nil gives the decode a
+	// buffer of its own.
+	Scratch *Scratch
 }
-
-// runChunkGroups bounds how many run-length-encoded TNT groups are
-// materialised per refill round. TNTRep counts are attacker-controlled in
-// a corrupt stream; expanding them lazily keeps the pending-bit queue
-// small no matter what the packet claims.
-const runChunkGroups = 4096
 
 // queue is a FIFO over a reused backing array: pop advances a read index,
 // and the array is rewound once the queue drains, so steady-state decoding
@@ -164,10 +161,38 @@ func (q *queue[T]) pop() T {
 	return v
 }
 
-// runScratch pools the slices a walk collects its runs in. A walk appends
-// to a warm slice, so it rarely regrows, and finish copies the runs once
-// into Path.Runs at their exact size.
-var runScratch = sync.Pool{New: func() any { return new([]Run) }}
+// Scratch holds the buffers walks collect their runs in. A walk appends to
+// a warm buffer, so it rarely regrows, and finish copies the runs once into
+// Path.Runs at their exact size. Share one Scratch across the decodes of
+// one analysis: a buffer is reused exactly when an earlier decode has
+// handed it back, so the analysis allocates the same on every run, which a
+// sync.Pool (per-P caches, emptied by the collector) does not give. The
+// zero value is ready to use; it is safe for concurrent use, each decode in
+// flight holding a buffer of its own.
+type Scratch struct {
+	mu   sync.Mutex
+	free [][]Run
+}
+
+// get returns a free buffer, or nil when there is none.
+func (s *Scratch) get() []Run {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	return b
+}
+
+// put hands a buffer back for the next decode.
+func (s *Scratch) put(b []Run) {
+	s.mu.Lock()
+	s.free = append(s.free, b[:0])
+	s.mu.Unlock()
+}
 
 // decoder state over one stream.
 type decoder struct {
@@ -175,7 +200,6 @@ type decoder struct {
 	rdr     *tracefmt.PTReader
 	path    *Path
 	lenient bool
-	bits    queue[bool]   // pending TNT outcomes
 	tips    queue[uint64] // pending TIP targets
 	stack   []uint64      // call stack for RET compression
 	done    bool
@@ -183,15 +207,23 @@ type decoder struct {
 	// steps is the walk's position: how many steps have been recorded.
 	// Markers and gaps take their StepIndex from it.
 	steps int
-	// runs collects the walk's runs in a pooled scratch slice (runScratch),
-	// taken at the first run; finish copies them into Path.Runs.
-	scratch *[]Run
+	// runs collects the walk's runs in a buffer of scratch, taken at the
+	// first run; finish copies them into Path.Runs and hands it back.
+	scratch *Scratch
 	runs    []Run
 
-	// pending run-length-encoded TNT state, expanded lazily.
+	// tnt holds the pending TNT outcomes of one packet or run group, the
+	// next outcome in bit 0; tntN of them are left.
+	tnt  uint8
+	tntN uint8
+
+	// pending run-length-encoded TNT state, one group loaded into tnt at a
+	// time. TNTRep counts are attacker-controlled in a corrupt stream;
+	// loading groups lazily keeps the pending state small no matter what
+	// the packet claims.
 	runPattern uint8
 	runNBits   uint8
-	runLeft    uint32 // groups not yet materialised
+	runLeft    uint32 // groups not yet loaded
 	runIdx     uint32 // next group's index within the run
 	runExc     []tracefmt.TNTException
 	runEi      int
@@ -211,30 +243,22 @@ type decoder struct {
 	maxSteps int
 }
 
-// expandRun materialises up to runChunkGroups groups of the pending run.
-func (d *decoder) expandRun() {
-	n := d.runLeft
-	if n > runChunkGroups {
-		n = runChunkGroups
+// nextGroup loads the pending run's next group into tnt.
+func (d *decoder) nextGroup() {
+	group := d.runPattern
+	if d.runEi < len(d.runExc) && d.runExc[d.runEi].Index == d.runIdx {
+		group = d.runExc[d.runEi].Bits
+		d.runEi++
 	}
-	for k := uint32(0); k < n; k++ {
-		group := d.runPattern
-		if d.runEi < len(d.runExc) && d.runExc[d.runEi].Index == d.runIdx {
-			group = d.runExc[d.runEi].Bits
-			d.runEi++
-		}
-		for i := uint8(0); i < d.runNBits; i++ {
-			d.bits.push(group&(1<<i) != 0)
-		}
-		d.runIdx++
-	}
-	d.runLeft -= n
+	d.tnt, d.tntN = group, d.runNBits
+	d.runIdx++
+	d.runLeft--
 }
 
 // clearPending drops all queued decode state; it is poisoned once the
 // stream position is known to be damaged.
 func (d *decoder) clearPending() {
-	d.bits.clear()
+	d.tntN = 0
 	d.tips.clear()
 	d.stack = d.stack[:0]
 	d.runLeft, d.runExc, d.runEi = 0, nil, 0
@@ -244,13 +268,13 @@ func (d *decoder) clearPending() {
 // resync anchor is queued, or the stream ends. TSC packets become markers
 // at the current position.
 func (d *decoder) refill() {
-	for d.bits.len() == 0 && d.tips.len() == 0 && !d.done && !d.anchorOK {
+	for d.tntN == 0 && d.tips.len() == 0 && !d.done && !d.anchorOK {
 		if d.runLeft > 0 {
 			if d.draining {
 				d.runLeft = 0 // bits are being discarded anyway
 				continue
 			}
-			d.expandRun()
+			d.nextGroup()
 			continue
 		}
 		pkt, done, err := d.rdr.Next()
@@ -284,9 +308,7 @@ func (d *decoder) refill() {
 		d.path.Packets++
 		switch pkt.Kind {
 		case tracefmt.PktTNT, tracefmt.PktTNT6:
-			for i := uint8(0); i < pkt.NBits; i++ {
-				d.bits.push(pkt.Bits&(1<<i) != 0)
-			}
+			d.tnt, d.tntN = pkt.Bits, pkt.NBits
 		case tracefmt.PktTNTRep, tracefmt.PktTNTRepEx:
 			// Each step consumes at most one TNT bit, so a run the walk
 			// could never finish within its remaining step budget cannot be
@@ -339,13 +361,16 @@ func (d *decoder) refill() {
 
 // nextBit consumes one conditional outcome; ok is false at stream end.
 func (d *decoder) nextBit() (bool, bool) {
-	if d.bits.len() == 0 {
+	if d.tntN == 0 {
 		d.refill()
+		if d.tntN == 0 {
+			return false, false
+		}
 	}
-	if d.bits.len() == 0 {
-		return false, false
-	}
-	return d.bits.pop(), true
+	taken := d.tnt&1 != 0
+	d.tnt >>= 1
+	d.tntN--
+	return taken, true
 }
 
 // nextTIP consumes one indirect target; ok is false at stream end.
@@ -489,11 +514,11 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			// (target = tracked call stack top) or a TIP. Stream order
 			// disambiguates: whichever the next pending item is belongs
 			// to this return.
-			if d.bits.len() == 0 && d.tips.len() == 0 {
+			if d.tntN == 0 && d.tips.len() == 0 {
 				d.refill()
 			}
 			switch {
-			case d.bits.len() > 0:
+			case d.tntN > 0:
 				taken, _ := d.nextBit()
 				n := len(d.stack)
 				if !taken || n == 0 {
@@ -552,11 +577,16 @@ func newDecoder(p *prog.Program, tid int32, stream []byte, opts Options) *decode
 	if uint64(maxSteps) > math.MaxUint32 {
 		maxSteps = math.MaxUint32 // a Run's steps are 32-bit
 	}
+	scratch := opts.Scratch
+	if scratch == nil {
+		scratch = new(Scratch)
+	}
 	return &decoder{
 		prog:     p,
 		rdr:      tracefmt.NewPTReader(stream),
 		path:     &Path{TID: tid},
 		lenient:  opts.Lenient,
+		scratch:  scratch,
 		maxSteps: maxSteps,
 	}
 }
@@ -577,9 +607,8 @@ func (d *decoder) appendRun(idx, n int) {
 	if k := len(d.runs) - 1; k >= 0 && int(d.runs[k].Inst)+int(d.runs[k].Len) == idx {
 		d.runs[k].Len += uint32(n)
 	} else {
-		if d.scratch == nil {
-			d.scratch = runScratch.Get().(*[]Run)
-			d.runs = *d.scratch
+		if d.runs == nil {
+			d.runs = d.scratch.get()
 		}
 		d.runs = append(d.runs, Run{Step: uint32(d.steps), Inst: uint32(idx), Len: uint32(n)})
 	}
@@ -592,21 +621,19 @@ func (d *decoder) appendRun(idx, n int) {
 // finish ends the walk: it assembles Path.Runs and drains any packets left
 // so trailing TSC markers are recorded at the final position.
 func (d *decoder) finish() {
-	if d.scratch != nil {
+	if d.runs != nil {
 		d.path.Runs = slices.Clone(d.runs)
-		*d.scratch = d.runs[:0]
-		runScratch.Put(d.scratch)
-		d.scratch, d.runs = nil, nil
+		d.scratch.put(d.runs)
+		d.runs = nil
 	}
 	d.draining = true
 	d.anchorOK = false
 	d.runLeft, d.runExc, d.runEi = 0, nil, 0
 	for !d.done {
-		d.bits.clear()
+		d.tntN = 0
 		d.tips.clear()
 		d.refill()
 	}
-	d.bits.release()
 	d.tips.release()
 }
 
@@ -615,8 +642,12 @@ func DecodeAll(p *prog.Program, streams map[int32][]byte, maxSteps int) (map[int
 	return DecodeAllWith(p, streams, Options{MaxSteps: maxSteps})
 }
 
-// DecodeAllWith decodes every thread stream of a trace.
+// DecodeAllWith decodes every thread stream of a trace, the decodes
+// sharing one Scratch when opts brings none.
 func DecodeAllWith(p *prog.Program, streams map[int32][]byte, opts Options) (map[int32]*Path, error) {
+	if opts.Scratch == nil {
+		opts.Scratch = new(Scratch)
+	}
 	out := map[int32]*Path{}
 	for tid, stream := range streams {
 		path, err := DecodeWith(p, tid, stream, opts)

@@ -1,6 +1,7 @@
 package ptdecode
 
 import (
+	"runtime"
 	"testing"
 
 	"prorace/internal/asm"
@@ -122,6 +123,31 @@ func TestDecodeMatchesExecutionExactly(t *testing.T) {
 	}
 	if path.Truncated {
 		t.Error("full stream must not truncate")
+	}
+}
+
+// TestScratchReusedAcrossCollections: a decode lent a warm Scratch appends
+// to the buffer an earlier decode handed back, whatever the collector did
+// in between, so repeated analyses of one trace allocate the same. (A
+// sync.Pool loses its buffers to two collections.)
+func TestScratchReusedAcrossCollections(t *testing.T) {
+	p := branchyProgram()
+	_, streams, _, _ := runWithPT(t, p, 50)
+	decode := func(s *Scratch) {
+		if _, err := DecodeWith(p, 0, streams[0], Options{Scratch: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := testing.AllocsPerRun(5, func() { decode(nil) })
+	s := new(Scratch)
+	decode(s)
+	warm := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		decode(s)
+	})
+	if warm >= cold {
+		t.Fatalf("a decode with a warm scratch made %.0f allocations after two collections, a cold one %.0f", warm, cold)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"prorace/internal/isa"
 	"prorace/internal/synthesis"
@@ -272,6 +273,35 @@ func (ps *pathState) release() {
 	clear(ps.loads)
 }
 
+// statePool is a free list of pathStates. Unlike a sync.Pool (per-P
+// caches, emptied by the collector), it reuses a state exactly when an
+// earlier reconstruction has handed it back, so an analysis allocates the
+// same on every run. It is safe for concurrent use.
+type statePool struct {
+	mu   sync.Mutex
+	free []*pathState
+}
+
+// get returns a free state, or a new one when there is none.
+func (sp *statePool) get() *pathState {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	n := len(sp.free)
+	if n == 0 {
+		return &pathState{}
+	}
+	ps := sp.free[n-1]
+	sp.free = sp.free[:n-1]
+	return ps
+}
+
+// put hands a released state back.
+func (sp *statePool) put(ps *pathState) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, ps)
+	sp.mu.Unlock()
+}
+
 // loadLog freezes the tallied loads into the thread's LoadLog.
 func (ps *pathState) loadLog() *LoadLog {
 	log := &LoadLog{entries: make([]loadEntry, 0, len(ps.loads))}
@@ -287,13 +317,13 @@ func (ps *pathState) loadLog() *LoadLog {
 // with the given pass schedule, returning the thread's LoadLog when
 // logLoads is set.
 func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passes func(*Engine, *pathState, *Stats)) ([]Access, Stats, *LoadLog) {
-	ps := e.states.Get().(*pathState)
+	ps := e.states.get()
 	if ps.origin != nil {
 		e.met.recycles.Inc() // warm state: prior capacity is being reused
 	}
 	defer func() {
 		ps.release()
-		e.states.Put(ps)
+		e.states.put(ps)
 	}()
 	ps.reset(tt, logLoads)
 	var st Stats

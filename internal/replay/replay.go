@@ -27,8 +27,6 @@
 package replay
 
 import (
-	"sync"
-
 	"prorace/internal/isa"
 	"prorace/internal/prog"
 	"prorace/internal/synthesis"
@@ -151,10 +149,10 @@ type Engine struct {
 	// emulateMemory enables the program-map memory emulation of §5.1: on
 	// for the path modes, off for the ablation.
 	emulateMemory bool
-	// states pools pathState working sets across threads and calls, so
+	// states keeps pathState working sets across threads and calls, so
 	// steady-state reconstruction reuses the per-path arrays and map
 	// buckets instead of reallocating them for every thread.
-	states *sync.Pool
+	states *statePool
 	met    engineMetrics
 }
 
@@ -209,7 +207,7 @@ func NewEngine(p *prog.Program, cfg Config) *Engine {
 		p:             p,
 		cfg:           cfg,
 		emulateMemory: cfg.Mode != ModeBasicBlock,
-		states:        &sync.Pool{New: func() any { return &pathState{} }},
+		states:        &statePool{},
 		met:           newEngineMetrics(cfg.Telemetry),
 	}
 }

@@ -111,8 +111,9 @@ func Synthesize(p *prog.Program, tr *tracefmt.Trace) (map[int32]*ThreadTrace, er
 // SynthesizeWith is Synthesize with explicit options.
 func SynthesizeWith(p *prog.Program, tr *tracefmt.Trace, opts Options) (map[int32]*ThreadTrace, error) {
 	out := map[int32]*ThreadTrace{}
+	scratch := new(ptdecode.Scratch)
 	for _, tid := range tr.TIDs() {
-		tt, err := SynthesizeThreadWith(p, tr, tid, opts)
+		tt, err := SynthesizeThreadScratch(p, tr, tid, opts, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -131,10 +132,17 @@ func SynthesizeThread(p *prog.Program, tr *tracefmt.Trace, tid int32) (*ThreadTr
 
 // SynthesizeThreadWith is SynthesizeThread with explicit options.
 func SynthesizeThreadWith(p *prog.Program, tr *tracefmt.Trace, tid int32, opts Options) (*ThreadTrace, error) {
+	return SynthesizeThreadScratch(p, tr, tid, opts, nil)
+}
+
+// SynthesizeThreadScratch is SynthesizeThreadWith decoding with the run
+// buffers of scratch (nil: buffers of its own). A caller synthesising every
+// thread of a trace shares one scratch between them.
+func SynthesizeThreadScratch(p *prog.Program, tr *tracefmt.Trace, tid int32, opts Options, scratch *ptdecode.Scratch) (*ThreadTrace, error) {
 	tt := &ThreadTrace{TID: tid}
 	if stream, ok := tr.PT[tid]; ok {
 		path, err := ptdecode.DecodeWith(p, tid, stream, ptdecode.Options{
-			MaxSteps: opts.MaxSteps, Lenient: opts.Lenient,
+			MaxSteps: opts.MaxSteps, Lenient: opts.Lenient, Scratch: scratch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("synthesis: tid %d: %w", tid, err)

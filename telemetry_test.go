@@ -151,9 +151,9 @@ func TestTelemetrySnapshotInResult(t *testing.T) {
 // TestTelemetryDeterministic: the pipeline-derived counters are identical
 // across repeated runs of one (program, seed) and across performance
 // configurations, once the wall-clock series (histograms, spans) and the
-// pathState pool's recycle tally are excluded: sync.Pool may drop items
-// (at random under the race detector), so that tally is allocation
-// behaviour, not pipeline output. No path cache is passed, so every run
+// pathState free list's recycle tally are excluded: how often a warm
+// state is reused depends on how many threads reconstruct at once, so that
+// tally is allocation behaviour, not pipeline output. No path cache is passed, so every run
 // publishes the full decode series (a cache hit honestly publishes only
 // the hit counter — that asymmetry is the documented cache-hit
 // semantics, not nondeterminism).
