@@ -613,32 +613,3 @@ func BenchmarkDetection(b *testing.B) {
 	}
 	b.ReportMetric(float64(n), "accesses/op")
 }
-
-// BenchmarkDetectorFastTrackVsDjit compares FastTrack's adaptive-epoch
-// detector against the full-vector-clock DJIT+ it improves upon, over the
-// same extended trace — the detector-level justification for the paper's
-// choice of algorithm.
-func BenchmarkDetectorFastTrackVsDjit(b *testing.B) {
-	w := ablationWorkload()
-	res, err := core.TraceProgram(w.Program, core.TraceOptions{
-		Kind: driver.ProRace, Period: 500, Seed: 3, EnablePT: true, Machine: w.Machine})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tts, err := synthesis.Synthesize(w.Program, res.Trace)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := replay.NewEngine(w.Program, replay.Config{})
-	accesses, _ := engine.ReconstructAll(tts)
-	b.Run("fasttrack", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			race.Detect(res.Trace.Sync, accesses, race.Options{TrackAllocations: true})
-		}
-	})
-	b.Run("djit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			race.DetectDjit(res.Trace.Sync, accesses, race.Options{TrackAllocations: true})
-		}
-	})
-}

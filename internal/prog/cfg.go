@@ -119,24 +119,41 @@ func (p *Program) buildBlocks() {
 	p.blocks = blocks
 }
 
-// NextTerminator returns the index of the first block-ending instruction
-// (isa.Inst.EndsBlock) at or after instruction index idx, or len(p.Insts)
-// when straight-line code from idx runs off the end of the text segment.
-// Everything from idx up to that index executes unconditionally, which is
-// what lets the PT decoder consume a whole straight-line run at once. It
-// is safe for concurrent use.
-func (p *Program) NextTerminator(idx int) int {
-	p.termOnce.Do(func() {
-		p.termIdx = make([]int32, len(p.Insts))
-		next := int32(len(p.Insts))
-		for k := len(p.Insts) - 1; k >= 0; k-- {
-			if p.Insts[k].EndsBlock() {
-				next = int32(k)
+// Exit is where straight-line code starting at an instruction ends.
+type Exit struct {
+	// Term is the index of the first block-ending instruction
+	// (isa.Inst.EndsBlock) at or after the instruction, or len(Insts) when
+	// straight-line code runs off the end of the text segment. Everything
+	// up to Term executes unconditionally.
+	Term int32
+	// Taken is the index a conditional branch at Term jumps to when taken,
+	// or -1 when Term is no conditional branch or its target is no
+	// instruction of the text segment.
+	Taken int32
+}
+
+// Exits returns the Exit of straight-line code starting at each
+// instruction index. It is what lets the PT decoder consume a whole
+// straight-line run at once, and follow a conditional branch by index,
+// without converting addresses; a decode reads the table once, not
+// through its sync.Once per block. The table is shared; callers must not
+// modify it. It is safe for concurrent use.
+func (p *Program) Exits() []Exit {
+	p.exitsOnce.Do(func() {
+		n := len(p.Insts)
+		p.exits = make([]Exit, n)
+		next := Exit{Term: int32(n), Taken: -1}
+		for k := n - 1; k >= 0; k-- {
+			if in := &p.Insts[k]; in.EndsBlock() {
+				next = Exit{Term: int32(k), Taken: -1}
+				if t, ok := isa.AddrToIndex(uint64(in.Imm)); ok && t < n && in.IsCondBranch() {
+					next.Taken = int32(t)
+				}
 			}
-			p.termIdx[k] = next
+			p.exits[k] = next
 		}
 	})
-	return int(p.termIdx[idx])
+	return p.exits
 }
 
 // MemAccessesIn returns how many of the instructions at indexes [lo, hi)

@@ -54,8 +54,8 @@ type Program struct {
 	blockIdx   []int32 // instruction index -> block number
 	funcsOnce  sync.Once
 	funcsByAd  []Symbol // function symbols sorted by address
-	termOnce   sync.Once
-	termIdx    []int32 // instruction index -> next block-ending instruction
+	exitsOnce  sync.Once
+	exits      []Exit // instruction index -> where its straight-line code ends
 	memOnce    sync.Once
 	memPrefix  []int32 // k -> memory-access instructions among Insts[:k]
 	sysOnce    sync.Once

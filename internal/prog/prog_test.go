@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"testing"
 
 	"prorace/internal/isa"
@@ -261,5 +262,33 @@ func TestImageErrors(t *testing.T) {
 	bad[4] = 99 // version
 	if _, err := DecodeImage(bad); err == nil {
 		t.Error("bad version must fail")
+	}
+}
+
+func TestExits(t *testing.T) {
+	p := tinyProgram()
+	want := []Exit{
+		{Term: 2, Taken: 5}, {Term: 2, Taken: 5}, {Term: 2, Taken: 5},
+		{Term: 4, Taken: -1}, {Term: 4, Taken: -1},
+		{Term: 6, Taken: -1}, {Term: 6, Taken: -1},
+		{Term: 8, Taken: -1}, {Term: 8, Taken: -1},
+	}
+	if got := p.Exits(); !slices.Equal(got, want) {
+		t.Fatalf("Exits() = %v, want %v", got, want)
+	}
+
+	// A conditional branch out of the text segment has no Taken index, and
+	// straight-line code off its end has no terminator.
+	p = tinyProgram()
+	p.Insts[2].Imm = int64(isa.IndexToAddr(100))
+	p.Insts = p.Insts[:8] // ends in the helper's load
+	want = []Exit{
+		{Term: 2, Taken: -1}, {Term: 2, Taken: -1}, {Term: 2, Taken: -1},
+		{Term: 4, Taken: -1}, {Term: 4, Taken: -1},
+		{Term: 6, Taken: -1}, {Term: 6, Taken: -1},
+		{Term: 8, Taken: -1},
+	}
+	if got := p.Exits(); !slices.Equal(got, want) {
+		t.Fatalf("Exits() = %v, want %v", got, want)
 	}
 }

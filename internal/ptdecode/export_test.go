@@ -33,7 +33,7 @@ func DiffReference(p *prog.Program, tid int32, stream []byte, opts Options) (*Pa
 		return got, fmt.Sprintf("%d steps, reference %d; first difference at step %d", len(pcs), len(wantPCs), i)
 	}
 	rest := *got
-	rest.Runs = nil
+	rest.runs, rest.steps, rest.starts = nil, 0, nil
 	if !reflect.DeepEqual(&rest, want) {
 		return got, fmt.Sprintf("path fields %+v, reference %+v", rest, *want)
 	}
@@ -43,7 +43,7 @@ func DiffReference(p *prog.Program, tid int32, stream []byte, opts Options) (*Pa
 // pcsOf expands a path into one instruction address per step.
 func pcsOf(p *Path) []uint64 {
 	out := make([]uint64, 0, p.Len())
-	for _, r := range p.Runs {
+	for _, r := range p.Runs() {
 		for k := 0; k < int(r.Len); k++ {
 			out = append(out, isa.IndexToAddr(int(r.Inst)+k))
 		}
@@ -65,24 +65,47 @@ func firstDiff(a, b []uint64) int {
 }
 
 // runInvariant describes the first broken Path invariant: runs are
-// non-empty, abut step to step, stay inside the text segment, and are
-// maximal (no run continues its predecessor's instructions).
+// non-empty, stay inside the text segment, and are maximal (no run
+// continues its predecessor's instructions), and Len and RunAt agree with
+// the runs' lengths.
 func runInvariant(p *prog.Program, path *Path) string {
+	runs := path.Runs()
 	next := 0
-	for k, r := range path.Runs {
+	for k, r := range runs {
 		switch {
 		case r.Len == 0:
 			return fmt.Sprintf("run %d is empty", k)
-		case int(r.Step) != next:
-			return fmt.Sprintf("run %d starts at step %d, want %d", k, r.Step, next)
 		case int(r.Inst)+int(r.Len) > len(p.Insts):
 			return fmt.Sprintf("run %d leaves the text segment", k)
-		case k > 0 && path.Runs[k-1].Inst+path.Runs[k-1].Len == r.Inst:
+		case k > 0 && runs[k-1].Inst+runs[k-1].Len == r.Inst:
 			return fmt.Sprintf("run %d continues run %d", k, k-1)
 		}
-		next = r.End()
+		// RunAt at both ends of the runs its index entries start and end
+		// at: the rest are scans between those.
+		if k%runIndexStride == 0 || k%runIndexStride == runIndexStride-1 {
+			for _, step := range []int{next, next + int(r.Len) - 1} {
+				if ri, first := path.RunAt(step); ri != k || first != next {
+					return fmt.Sprintf("RunAt(%d) = %d, %d; want run %d from step %d", step, ri, first, k, next)
+				}
+			}
+		}
+		next += int(r.Len)
+	}
+	if path.Len() != next {
+		return fmt.Sprintf("Len() = %d, the runs hold %d steps", path.Len(), next)
 	}
 	return ""
+}
+
+// nextBit consumes one conditional outcome for the reference walk,
+// refilling first when none is pending; ok is false at stream end.
+func (d *decoder) nextBit() (taken, ok bool) {
+	if d.tntN == 0 {
+		if d.refill(); d.tntN == 0 {
+			return false, false
+		}
+	}
+	return d.takeBit(), true
 }
 
 // decodeSteps is the reference walk the run decoder must reproduce: it
@@ -119,7 +142,8 @@ func decodeSteps(p *prog.Program, tid int32, stream []byte, opts Options) (pcs [
 			d.path.Truncated = true
 			break
 		}
-		d.walkPC = pc
+		idx, _ := isa.AddrToIndex(pc)
+		d.runEnd = idx + 1 // the decoder's walkPC is this step's pc
 		pcs = append(pcs, pc)
 		d.steps++
 

@@ -59,16 +59,13 @@ type Gap struct {
 }
 
 // Run is a straight-line stretch of a decoded path: Len instructions at
-// consecutive text-segment indices from Inst, executed as the path steps
-// [Step, Step+Len).
+// consecutive text-segment indices from Inst, executed as consecutive
+// steps. A run's first step is the total length of the runs before it;
+// Path.RunAt finds it.
 type Run struct {
-	Step uint32 // first step of the run
 	Inst uint32 // text-segment index of the run's first instruction
 	Len  uint32 // number of steps, at least 1
 }
-
-// End returns the step just past the run.
-func (r Run) End() int { return int(r.Step) + int(r.Len) }
 
 // Path is one thread's decoded execution.
 //
@@ -81,8 +78,6 @@ func (r Run) End() int { return int(r.Step) + int(r.Len) }
 // index prog.Program.Insts by a run's Inst without a validity check.
 type Path struct {
 	TID int32
-	// Runs is the executed instruction sequence, one entry per run.
-	Runs []Run
 	// Markers are the TSC packets in decode order (ascending StepIndex).
 	Markers []Marker
 	// Truncated is true when decoding stopped because the stream ended
@@ -101,19 +96,54 @@ type Path struct {
 	// Resyncs counts recovery events that re-anchored the walk at a PSB
 	// sync point (scans after damage plus in-place PSB re-anchors).
 	Resyncs int
+
+	runs   []Run
+	steps  int      // the total length of runs
+	starts []uint32 // starts[k] is the first step of run k*runIndexStride
 }
+
+// runIndexStride is how many runs share one entry of Path.starts: RunAt
+// searches the entries, then adds up at most this many runs' lengths.
+const runIndexStride = 16
+
+// NewPath returns the path of thread tid executing runs, which it keeps.
+func NewPath(tid int32, runs []Run) *Path {
+	p := &Path{TID: tid}
+	p.setRuns(runs)
+	return p
+}
+
+// setRuns makes runs the path's and indexes their first steps.
+func (p *Path) setRuns(runs []Run) {
+	p.runs = runs
+	p.starts = make([]uint32, 0, (len(runs)+runIndexStride-1)/runIndexStride)
+	step := 0
+	for lo := 0; lo < len(runs); lo += runIndexStride {
+		p.starts = append(p.starts, uint32(step))
+		for _, r := range runs[lo:min(lo+runIndexStride, len(runs))] {
+			step += int(r.Len)
+		}
+	}
+	p.steps = step
+}
+
+// Runs returns the executed instruction sequence, one entry per run. The
+// slice is the path's own; callers must not modify it.
+func (p *Path) Runs() []Run { return p.runs }
 
 // Len returns the number of decoded steps.
-func (p *Path) Len() int {
-	if len(p.Runs) == 0 {
-		return 0
-	}
-	return p.Runs[len(p.Runs)-1].End()
-}
+func (p *Path) Len() int { return p.steps }
 
-// RunAt returns the index of the run holding step, for 0 <= step < Len().
-func (p *Path) RunAt(step int) int {
-	return sort.Search(len(p.Runs), func(i int) bool { return p.Runs[i].End() > step })
+// RunAt returns the index of the run holding step, for 0 <= step < Len(),
+// and that run's first step.
+func (p *Path) RunAt(step int) (ri, first int) {
+	k := sort.Search(len(p.starts), func(k int) bool { return int(p.starts[k]) > step }) - 1
+	ri, first = k*runIndexStride, int(p.starts[k])
+	for first+int(p.runs[ri].Len) <= step {
+		first += int(p.runs[ri].Len)
+		ri++
+	}
+	return ri, first
 }
 
 // Degraded reports whether the decode lost any part of the stream.
@@ -163,7 +193,7 @@ func (q *queue[T]) pop() T {
 
 // Scratch holds the buffers walks collect their runs in. A walk appends to
 // a warm buffer, so it rarely regrows, and finish copies the runs once into
-// Path.Runs at their exact size. Share one Scratch across the decodes of
+// the path at their exact size. Share one Scratch across the decodes of
 // one analysis: a buffer is reused exactly when an earlier decode has
 // handed it back, so the analysis allocates the same on every run, which a
 // sync.Pool (per-P caches, emptied by the collector) does not give. The
@@ -208,19 +238,21 @@ type decoder struct {
 	// Markers and gaps take their StepIndex from it.
 	steps int
 	// runs collects the walk's runs in a buffer of scratch, taken at the
-	// first run; finish copies them into Path.Runs and hands it back.
+	// first run; finish copies them into the path and hands it back.
 	scratch *Scratch
 	runs    []Run
+	runEnd  int // the text index after the last step's instruction
 
-	// tnt holds the pending TNT outcomes of one packet or run group, the
-	// next outcome in bit 0; tntN of them are left.
-	tnt  uint8
+	// tnt holds the pending TNT outcomes of one packet or of up to
+	// tntGroups run groups, the next outcome in bit 0; tntN of them are
+	// left.
+	tnt  uint64
 	tntN uint8
 
-	// pending run-length-encoded TNT state, one group loaded into tnt at a
-	// time. TNTRep counts are attacker-controlled in a corrupt stream;
-	// loading groups lazily keeps the pending state small no matter what
-	// the packet claims.
+	// pending run-length-encoded TNT state, at most tntGroups groups loaded
+	// into tnt at a time. TNTRep counts are attacker-controlled in a
+	// corrupt stream; loading groups lazily keeps the pending state small
+	// no matter what the packet claims.
 	runPattern uint8
 	runNBits   uint8
 	runLeft    uint32 // groups not yet loaded
@@ -228,10 +260,6 @@ type decoder struct {
 	runExc     []tracefmt.TNTException
 	runEi      int
 
-	// walkPC is the pc of the instruction currently requesting a packet;
-	// a PSB whose anchor disagrees with it reveals a silently desynced
-	// walk (plausible-but-wrong path from flipped TNT bits).
-	walkPC uint64
 	// anchor is a pending resync target discovered during refill.
 	anchor   uint64
 	anchorOK bool
@@ -243,16 +271,29 @@ type decoder struct {
 	maxSteps int
 }
 
-// nextGroup loads the pending run's next group into tnt.
-func (d *decoder) nextGroup() {
-	group := d.runPattern
-	if d.runEi < len(d.runExc) && d.runExc[d.runEi].Index == d.runIdx {
-		group = d.runExc[d.runEi].Bits
-		d.runEi++
+// tntGroups is how many run groups load into tnt at once: as many as fit
+// in its 64 bits.
+const tntGroups = 64 / tracefmt.TNTBitsPerPacket
+
+// nextGroups loads up to tntGroups of the pending run's groups into the
+// empty tnt, so a long run costs one refill per tntGroups groups, not per
+// group.
+func (d *decoder) nextGroups() {
+	mask := uint8(1)<<d.runNBits - 1 // a group's bits past runNBits are not outcomes
+	var bits uint64
+	var n uint8
+	for k := 0; k < tntGroups && d.runLeft > 0; k++ {
+		group := d.runPattern
+		if d.runEi < len(d.runExc) && d.runExc[d.runEi].Index == d.runIdx {
+			group = d.runExc[d.runEi].Bits
+			d.runEi++
+		}
+		bits |= uint64(group&mask) << n
+		n += d.runNBits
+		d.runIdx++
+		d.runLeft--
 	}
-	d.tnt, d.tntN = group, d.runNBits
-	d.runIdx++
-	d.runLeft--
+	d.tnt, d.tntN = bits, n
 }
 
 // clearPending drops all queued decode state; it is poisoned once the
@@ -274,7 +315,7 @@ func (d *decoder) refill() {
 				d.runLeft = 0 // bits are being discarded anyway
 				continue
 			}
-			d.nextGroup()
+			d.nextGroups()
 			continue
 		}
 		pkt, done, err := d.rdr.Next()
@@ -308,7 +349,7 @@ func (d *decoder) refill() {
 		d.path.Packets++
 		switch pkt.Kind {
 		case tracefmt.PktTNT, tracefmt.PktTNT6:
-			d.tnt, d.tntN = pkt.Bits, pkt.NBits
+			d.tnt, d.tntN = uint64(pkt.Bits), pkt.NBits
 		case tracefmt.PktTNTRep, tracefmt.PktTNTRepEx:
 			// Each step consumes at most one TNT bit, so a run the walk
 			// could never finish within its remaining step budget cannot be
@@ -345,11 +386,11 @@ func (d *decoder) refill() {
 			// requested by exactly the instruction the encoder anchored it
 			// at, so a mismatch means the walk silently desynced (flipped
 			// TNT bits produce a plausible but wrong path). Re-anchor.
-			if d.lenient && !d.draining && d.walkPC != 0 && pkt.Target != d.walkPC {
+			if d.lenient && !d.draining && d.steps > 0 && pkt.Target != d.walkPC() {
 				d.path.CorruptPackets++
 				d.path.Gaps = append(d.path.Gaps, Gap{
 					StepIndex: d.steps, Offset: d.rdr.Offset(),
-					Reason: fmt.Sprintf("PSB anchor %#x disagrees with walk at %#x", pkt.Target, d.walkPC),
+					Reason: fmt.Sprintf("PSB anchor %#x disagrees with walk at %#x", pkt.Target, d.walkPC()),
 				})
 				d.stack = d.stack[:0] // the encoder reset its stack at the PSB
 				d.path.Resyncs++
@@ -359,18 +400,20 @@ func (d *decoder) refill() {
 	}
 }
 
-// nextBit consumes one conditional outcome; ok is false at stream end.
-func (d *decoder) nextBit() (bool, bool) {
-	if d.tntN == 0 {
-		d.refill()
-		if d.tntN == 0 {
-			return false, false
-		}
-	}
+// walkPC is the pc of the instruction currently requesting a packet, the
+// last step recorded; the walk must have recorded one. A PSB whose anchor
+// disagrees with it reveals a silently desynced walk (plausible-but-wrong
+// path from flipped TNT bits).
+func (d *decoder) walkPC() uint64 { return isa.IndexToAddr(d.runEnd - 1) }
+
+// takeBit consumes the next pending outcome; tntN must be positive. It is
+// small enough to inline, so the walk takes a pending outcome without a
+// call.
+func (d *decoder) takeBit() bool {
 	taken := d.tnt&1 != 0
 	d.tnt >>= 1
 	d.tntN--
-	return taken, true
+	return taken
 }
 
 // nextTIP consumes one indirect target; ok is false at stream end.
@@ -434,6 +477,8 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 	}
 
 	insts := p.Insts
+	exits := p.Exits()
+walk:
 	for d.steps < d.maxSteps {
 		idx, okIdx := isa.AddrToIndex(pc)
 		if !okIdx || idx >= len(insts) {
@@ -458,14 +503,37 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 		}
 
 		// Everything from idx through the next terminator executes
-		// unconditionally.
-		term := p.NextTerminator(idx)
-		n := min(term+1, len(insts)) - idx
-		if left := d.maxSteps - d.steps; n > left {
-			d.appendRun(idx, left) // the budget ends the walk mid-run
-			break
+		// unconditionally. While that terminator is a conditional branch
+		// whose outcome is already pending (the common case), the exit
+		// table gives the next run's index: no packet to read, no address
+		// to convert.
+		var term int
+		for {
+			x := exits[idx]
+			term = int(x.Term)
+			n := min(term+1, len(insts)) - idx
+			if len(d.runs) == cap(d.runs) {
+				d.growRuns()
+			}
+			if left := d.maxSteps - d.steps; n > left {
+				d.appendRun(idx, left) // the budget ends the walk mid-run
+				break walk
+			}
+			d.appendRun(idx, n)
+			if x.Taken < 0 || d.tntN == 0 {
+				break
+			}
+			idx = term + 1
+			if d.takeBit() {
+				idx = int(x.Taken)
+			}
+			if idx == len(insts) || d.steps == d.maxSteps {
+				// The fall-through leaves the text segment, or the budget
+				// is spent: the checks above see to both.
+				pc = isa.IndexToAddr(idx)
+				continue walk
+			}
 		}
-		d.appendRun(idx, n)
 		pc = isa.IndexToAddr(term)
 		if term == len(insts) {
 			// No terminator before the end of the text segment: the walk
@@ -476,8 +544,10 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 		in := &insts[term]
 		switch {
 		case in.IsCondBranch():
-			taken, okBit := d.nextBit()
-			if !okBit {
+			if d.tntN == 0 {
+				d.refill()
+			}
+			if d.tntN == 0 {
 				if pc2, okR := d.reanchor("missing TNT bit"); okR {
 					pc = pc2
 					continue
@@ -486,7 +556,7 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 				d.path.Truncated = true
 				return d.path, d.lastErr
 			}
-			if taken {
+			if d.takeBit() {
 				pc = uint64(in.Imm)
 			} else {
 				pc += isa.InstSize
@@ -519,9 +589,8 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 			}
 			switch {
 			case d.tntN > 0:
-				taken, _ := d.nextBit()
 				n := len(d.stack)
-				if !taken || n == 0 {
+				if !d.takeBit() || n == 0 {
 					// Desync: a compressed return must be a taken bit with
 					// a tracked frame.
 					if pc2, okR := d.reanchor("return desync"); okR {
@@ -602,27 +671,39 @@ func (d *decoder) anchorPC() (uint64, bool) {
 }
 
 // appendRun records n steps executing the instructions from text index idx
-// on, extending the last run when they continue it.
+// on, extending the last run when they continue it. The caller makes room
+// for a new run first (growRuns), which keeps appendRun small enough to
+// inline.
 func (d *decoder) appendRun(idx, n int) {
-	if k := len(d.runs) - 1; k >= 0 && int(d.runs[k].Inst)+int(d.runs[k].Len) == idx {
-		d.runs[k].Len += uint32(n)
-	} else {
-		if d.runs == nil {
-			d.runs = d.scratch.get()
-		}
-		d.runs = append(d.runs, Run{Step: uint32(d.steps), Inst: uint32(idx), Len: uint32(n)})
+	if k := len(d.runs); idx != d.runEnd || k == 0 {
+		d.runs = d.runs[:k+1]
+		d.runs[k] = Run{Inst: uint32(idx)}
 	}
+	d.runs[len(d.runs)-1].Len += uint32(n)
 	d.steps += n
-	// The last step requests the next packet; a PSB read for it is checked
-	// against this pc.
-	d.walkPC = isa.IndexToAddr(idx + n - 1)
+	d.runEnd = idx + n
 }
 
-// finish ends the walk: it assembles Path.Runs and drains any packets left
-// so trailing TSC markers are recorded at the final position.
+// growRuns makes room for another run in a full buffer: it takes a buffer
+// from scratch at the walk's first run, and doubles a full one, rather
+// than take append's gentler growth for large slices, so a cold buffer
+// reaches a thread's size in fewer copies.
+func (d *decoder) growRuns() {
+	if d.runs == nil {
+		if d.runs = d.scratch.get(); cap(d.runs) > 0 {
+			return
+		}
+	}
+	grown := make([]Run, len(d.runs), max(2*cap(d.runs), 64))
+	copy(grown, d.runs)
+	d.runs = grown
+}
+
+// finish ends the walk: it assembles the path's runs and drains any
+// packets left so trailing TSC markers are recorded at the final position.
 func (d *decoder) finish() {
 	if d.runs != nil {
-		d.path.Runs = slices.Clone(d.runs)
+		d.path.setRuns(slices.Clone(d.runs))
 		d.scratch.put(d.runs)
 		d.runs = nil
 	}

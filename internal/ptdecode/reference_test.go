@@ -128,7 +128,7 @@ func TestMaxStepsCutsMidRun(t *testing.T) {
 		if path.Len() != budget {
 			t.Fatalf("budget %d: decoded %d steps", budget, path.Len())
 		}
-		if r := full.Runs[full.RunAt(budget-1)]; r.End() != budget {
+		if ri, first := full.RunAt(budget - 1); first+int(full.Runs()[ri].Len) != budget {
 			midRun++
 		}
 	}

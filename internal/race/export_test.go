@@ -24,6 +24,6 @@ func linearMergeCursors(sink EventSink, cursors []*streamCursor) {
 		} else {
 			sink.HandleAccess(bh.Acc)
 		}
-		cursors[best].pos++
+		cursors[best].advance()
 	}
 }

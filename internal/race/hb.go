@@ -9,13 +9,17 @@ import (
 // shares: per-thread vector clocks, the clocks of synchronization objects
 // (locks, condition variables, barriers), thread create/exit snapshots for
 // the fork/join edges, and the malloc/free generation map that keeps two
-// objects reusing one address apart (§4.3). Detector, DjitDetector and
-// PairOracle embed it so the sync semantics are defined exactly once —
-// a divergence here would silently break their equivalence.
+// objects reusing one address apart (§4.3). Detector, PairOracle and the
+// tests' DjitDetector embed it so the sync semantics are defined exactly
+// once — a divergence here would silently break their equivalence.
 type hbState struct {
 	trackAlloc bool
 
-	threads map[int32]*vc.VC
+	// threads holds each thread's clock, indexed by TID and grown on
+	// demand. A clock is looked up for every access, so this is an index,
+	// not a map; a vector clock is itself dense by TID, so the table costs
+	// about what one clock does.
+	threads []*vc.VC
 	locks   map[uint64]*vc.VC
 	conds   map[uint64]*vc.VC
 	bars    map[uint64]*vc.VC
@@ -29,7 +33,6 @@ type hbState struct {
 func newHBState(trackAllocations bool) hbState {
 	return hbState{
 		trackAlloc: trackAllocations,
-		threads:    map[int32]*vc.VC{},
 		locks:      map[uint64]*vc.VC{},
 		conds:      map[uint64]*vc.VC{},
 		bars:       map[uint64]*vc.VC{},
@@ -42,6 +45,9 @@ func newHBState(trackAllocations bool) hbState {
 const granule = 16
 
 func (s *hbState) clock(tid int32) *vc.VC {
+	if int(tid) >= len(s.threads) {
+		s.threads = append(s.threads, make([]*vc.VC, int(tid)+1-len(s.threads))...)
+	}
 	c := s.threads[tid]
 	if c == nil {
 		c = vc.New()

@@ -74,8 +74,8 @@ func mergeTrace(rng *rand.Rand) ([]tracefmt.SyncRecord, map[int32][]replay.Acces
 	return sync, accesses
 }
 
-// referenceMerge runs the linear-scan merge over the trace's materialised
-// per-thread streams, in ascending thread order as Feed builds them.
+// referenceMerge runs the linear-scan merge over the trace's per-thread
+// streams, in ascending thread order as Feed builds them.
 func referenceMerge(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access) []mergedEvent {
 	byTID := syncByTID(sync)
 	tids := make([]int32, 0, len(accesses))
@@ -85,7 +85,7 @@ func referenceMerge(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Acce
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	cursors := make([]*streamCursor, len(tids))
 	for i, tid := range tids {
-		cursors[i] = &streamCursor{buf: threadStream(byTID[tid], accesses[tid])}
+		cursors[i] = newStreamCursor(byTID[tid], accesses[tid])
 	}
 	var rec recordSink
 	linearMergeCursors(&rec, cursors)

@@ -11,7 +11,9 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"prorace/internal/replay"
@@ -342,7 +344,7 @@ func (d *Detector) Publish(rs []Report) {
 	}
 }
 
-// event is one entry of a thread's happens-before-consistent event stream:
+// event is the head of a thread's happens-before-consistent event stream:
 // exactly one of Sync or Acc is set.
 type event struct {
 	TSC  uint64
@@ -389,41 +391,12 @@ func (e *event) mergePriority() int {
 	return 1
 }
 
-// threadStream builds one thread's events in program order: sync records
-// arrive in machine order; accesses are ordered by path step (or TSC when
-// unpinned). At equal TSC within a thread, acquires precede accesses and
-// accesses precede releases, keeping accesses inside their critical
-// sections. The access slice is sorted in place.
-func threadStream(sync []tracefmt.SyncRecord, accs []replay.Access) []event {
-	sort.SliceStable(accs, func(i, j int) bool {
-		if accs[i].TSC != accs[j].TSC {
-			return accs[i].TSC < accs[j].TSC
-		}
-		return accs[i].Step < accs[j].Step
-	})
-	out := make([]event, 0, len(sync)+len(accs))
-	si, ai := 0, 0
-	for si < len(sync) || ai < len(accs) {
-		var takeSync bool
-		switch {
-		case si == len(sync):
-			takeSync = false
-		case ai == len(accs):
-			takeSync = true
-		case sync[si].TSC != accs[ai].TSC:
-			takeSync = sync[si].TSC < accs[ai].TSC
-		default: // tie: acquires first, releases last
-			takeSync = isAcquire(sync[si].Kind)
-		}
-		if takeSync {
-			out = append(out, event{TSC: sync[si].TSC, Sync: &sync[si]})
-			si++
-		} else {
-			out = append(out, event{TSC: accs[ai].TSC, Acc: &accs[ai]})
-			ai++
-		}
+// compareAccess orders a thread's accesses by TSC, then by path step.
+func compareAccess(a, b replay.Access) int {
+	if c := cmp.Compare(a.TSC, b.TSC); c != 0 {
+		return c
 	}
-	return out
+	return cmp.Compare(a.Step, b.Step)
 }
 
 // syncByTID partitions sync records per thread, preserving machine order.
@@ -436,8 +409,8 @@ func syncByTID(sync []tracefmt.SyncRecord) map[int32][]tracefmt.SyncRecord {
 }
 
 // EventSink consumes the merged happens-before-consistent event stream.
-// Detector (FastTrack), DjitDetector (DJIT+) and ReferenceDetector all
-// implement it, so one feed path drives every detector.
+// Detector (FastTrack), ReferenceDetector and the tests' DjitDetector
+// (DJIT+) all implement it, so one feed path drives every detector.
 type EventSink interface {
 	HandleSync(rec *tracefmt.SyncRecord)
 	HandleAccess(a *replay.Access)
@@ -463,18 +436,62 @@ func Detect(sync []tracefmt.SyncRecord, accesses map[int32][]replay.Access, opts
 	return d
 }
 
-// streamCursor walks one thread's materialised event stream.
+// streamCursor walks one thread's events in program order, merging its
+// sync records and accesses as it goes: sync records arrive in machine
+// order; accesses are ordered by path step (or TSC when unpinned). At
+// equal TSC within a thread, acquires precede accesses and accesses
+// precede releases, keeping accesses inside their critical sections.
 type streamCursor struct {
-	buf []event
-	pos int
+	sync []tracefmt.SyncRecord // not yet delivered
+	accs []replay.Access       // not yet delivered
+	ev   event                 // the head, unless done
+	done bool
+}
+
+// newStreamCursor starts a cursor over one thread's records and accesses.
+// The access slice is sorted in place.
+func newStreamCursor(sync []tracefmt.SyncRecord, accs []replay.Access) *streamCursor {
+	// Reconstruction already emits each thread's accesses in this order,
+	// so the check usually spares the sort.
+	if !slices.IsSortedFunc(accs, compareAccess) {
+		slices.SortStableFunc(accs, compareAccess)
+	}
+	c := &streamCursor{sync: sync, accs: accs}
+	c.advance()
+	return c
 }
 
 // head returns the next event; nil means the stream ended.
 func (c *streamCursor) head() *event {
-	if c.pos >= len(c.buf) {
+	if c.done {
 		return nil
 	}
-	return &c.buf[c.pos]
+	return &c.ev
+}
+
+// advance moves the head to the thread's next event.
+func (c *streamCursor) advance() {
+	var takeSync bool
+	switch {
+	case len(c.sync) == 0 && len(c.accs) == 0:
+		c.done = true
+		return
+	case len(c.sync) == 0:
+		takeSync = false
+	case len(c.accs) == 0:
+		takeSync = true
+	case c.sync[0].TSC != c.accs[0].TSC:
+		takeSync = c.sync[0].TSC < c.accs[0].TSC
+	default: // tie: acquires first, releases last
+		takeSync = isAcquire(c.sync[0].Kind)
+	}
+	if takeSync {
+		c.ev = event{TSC: c.sync[0].TSC, Sync: &c.sync[0]}
+		c.sync = c.sync[1:]
+	} else {
+		c.ev = event{TSC: c.accs[0].TSC, Acc: &c.accs[0]}
+		c.accs = c.accs[1:]
+	}
 }
 
 // mergeCursors k-way merges the cursors into the sink: events are emitted
@@ -496,12 +513,12 @@ func mergeCursors(sink EventSink, cursors []*streamCursor) {
 	for len(h) > 0 {
 		i := h[0].cur
 		c := cursors[i]
-		if ev := &c.buf[c.pos]; ev.Sync != nil {
-			sink.HandleSync(ev.Sync)
+		if c.ev.Sync != nil {
+			sink.HandleSync(c.ev.Sync)
 		} else {
-			sink.HandleAccess(ev.Acc)
+			sink.HandleAccess(c.ev.Acc)
 		}
-		c.pos++
+		c.advance()
 		if e := c.head(); e != nil {
 			h[0] = keyOf(e, int(i))
 		} else {
@@ -572,7 +589,7 @@ func Feed(sink EventSink, sync []tracefmt.SyncRecord, accesses map[int32][]repla
 
 	cursors := make([]*streamCursor, len(tids))
 	for i, tid := range tids {
-		cursors[i] = &streamCursor{buf: threadStream(byTID[tid], accesses[tid])}
+		cursors[i] = newStreamCursor(byTID[tid], accesses[tid])
 	}
 	mergeCursors(sink, cursors)
 }

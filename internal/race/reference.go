@@ -16,9 +16,9 @@ import (
 //
 // The one deliberate delta from the historical code: the shared-read scan
 // runs over the vector's true length instead of clamping at TID 64, the
-// same unclamping applied to Detector and DjitDetector; on traces with
-// TIDs below 64 (every sanitized trace the pipeline produced to date) the
-// behaviour is bit-identical.
+// same unclamping applied to Detector and the tests' DjitDetector; on
+// traces with TIDs below 64 (every sanitized trace the pipeline produced
+// to date) the behaviour is bit-identical.
 type ReferenceDetector struct {
 	opts Options
 

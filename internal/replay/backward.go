@@ -19,6 +19,7 @@ const maxBackwardSteps = 200_000
 // forward replay starting from the youngest instruction"). walk is the
 // per-segment walk: backwardSegment, or a test's reference.
 func (e *Engine) backwardPass(ps *pathState, walk segmentWalk) {
+	ps.beginBlock()
 	samples := ps.tt.Samples
 	for k := range samples {
 		hi := samples[k].StepIndex
@@ -29,12 +30,14 @@ func (e *Engine) backwardPass(ps *pathState, walk segmentWalk) {
 		if hi-lo > maxBackwardSteps {
 			lo = hi - maxBackwardSteps
 		}
-		// A walk records facts in non-increasing step order; reversing its
-		// block keeps ps.learned ascending, since segments are disjoint and
-		// visited in ascending order.
-		start := len(ps.learned)
+		// A walk records facts and recoveries in non-increasing step order;
+		// reversing its blocks keeps ps.learned and the pass's block of
+		// ps.recs ascending, since segments are disjoint and visited in
+		// ascending order.
+		facts, recs := len(ps.learned), len(ps.recs)
 		walk(e, ps, lo, hi, regFileFromSample(&samples[k].Rec))
-		slices.Reverse(ps.learned[start:])
+		slices.Reverse(ps.learned[facts:])
+		slices.Reverse(ps.recs[recs:])
 	}
 }
 
@@ -49,18 +52,20 @@ type segmentWalk func(e *Engine, ps *pathState, lo, hi int, cur regFile) int
 // learn a fact nor recover an access (DESIGN.md §10). That requires
 // fwdAvail to come from a forward pass that applied no learned facts.
 func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
-	runs := ps.tt.Path.Runs
-	ri := ps.tt.Path.RunAt(hi)
+	runs := ps.tt.Path.Runs()
+	// runs[ri] holds the steps [first, first+Len).
+	ri, first := ps.tt.Path.RunAt(hi)
 	var regBuf [2]isa.Reg // stack scratch for AppendDefs/AppendAddrRegs
 	for i := hi; i >= lo; i-- {
 		// cur is the pre-state of step i+1.
 		if i < hi && cur.avail&^ps.fwdAvail[i+1] == 0 {
 			return i + 1
 		}
-		if i < int(runs[ri].Step) {
+		if i < first {
 			ri--
+			first -= int(runs[ri].Len)
 		}
-		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
+		idx := int(runs[ri].Inst) + i - first
 		in := &e.p.Insts[idx]
 
 		// Derive the pre-state of step i from its post-state in cur —
@@ -86,12 +91,9 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 
 		// cur is now the pre-state of step i: evaluate the memory operand.
 		// Step hi itself is the sample — already known.
-		if i < hi && in.IsMemAccess() && !ps.known[i] {
+		if i < hi && in.IsMemAccess() && !ps.isKnown(i) {
 			if addr, ok := addrOf(in, &cur, isa.IndexToAddr(idx)); ok {
-				ps.known[i] = true
-				ps.origin[i] = OriginBackward
-				ps.addrs[i] = addr
-				ps.recovered++
+				ps.recover(i, addr, OriginBackward)
 			}
 		}
 

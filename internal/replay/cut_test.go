@@ -185,13 +185,15 @@ func syncStepsByScan(p *prog.Program, tr *tracefmt.Trace, tt *synthesis.ThreadTr
 		kind tracefmt.SyncKind
 	}
 	var steps []pathSys
-	for _, r := range tt.Path.Runs {
+	first := 0 // the first step of run r
+	for _, r := range tt.Path.Runs() {
 		for k := 0; k < int(r.Len); k++ {
 			in := p.Insts[int(r.Inst)+k]
 			if kind, ok := kinds[in.Sys]; ok && in.Op == isa.SYSCALL {
-				steps = append(steps, pathSys{int(r.Step) + k, kind})
+				steps = append(steps, pathSys{first + k, kind})
 			}
 		}
+		first += int(r.Len)
 	}
 	var out []synthesis.SyncStep
 	for _, rec := range tr.Sync {
@@ -241,7 +243,7 @@ func TestBackwardCutKeepsFactAboveCut(t *testing.T) {
 
 	const last, deref = 8, 5
 	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
-	path := &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: uint32(entry), Len: last + 1}}}
+	path := ptdecode.NewPath(0, []ptdecode.Run{{Inst: uint32(entry), Len: last + 1}})
 	sample := func(step int, tsc uint64) synthesis.Sample {
 		rec := tracefmt.PEBSRecord{TSC: tsc, IP: isa.IndexToAddr(entry + step), Addr: a}
 		rec.Regs[isa.R2] = buf / 8
@@ -325,7 +327,7 @@ func TestSecondForwardPassWalksPastUnequalMemory(t *testing.T) {
 
 	const sampled, deref = 2, 4
 	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
-	path := &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: uint32(entry), Len: deref + 1}}}
+	path := ptdecode.NewPath(0, []ptdecode.Run{{Inst: uint32(entry), Len: deref + 1}})
 	rec := tracefmt.PEBSRecord{TSC: 100, IP: isa.IndexToAddr(entry + sampled), Addr: a}
 	rec.Regs[isa.R1], rec.Regs[isa.R6] = buf, slot
 	tt := &synthesis.ThreadTrace{

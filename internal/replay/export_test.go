@@ -16,16 +16,16 @@ import (
 // from the second round on they follow a forward pass that applied
 // learned facts, where the cut's dominance argument does not hold.
 func (e *Engine) ReconstructThreadRounds(tt *synthesis.ThreadTrace, maxRounds int) ([]Access, Stats) {
-	acc, st, _ := e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
+	acc, st, _ := e.reconstructPath(tt, false, func(e *Engine, ps *pathState) {
 		for round := 0; round < maxRounds; round++ {
-			before := ps.recovered
-			e.forwardPass(ps, st, true)
+			before := len(ps.recs)
+			e.forwardPass(ps, true)
 			if e.cfg.Mode == ModeForward {
 				return
 			}
 			e.backwardPass(ps, (*Engine).uncutSegment)
 			mergeLearned(ps)
-			if round > 0 && ps.recovered == before {
+			if round > 0 && len(ps.recs) == before {
 				return
 			}
 		}
@@ -68,11 +68,11 @@ func (e *Engine) ReconstructThreadFullF2(tt *synthesis.ThreadTrace) ([]Access, S
 }
 
 func (e *Engine) reconstructFullF2(tt *synthesis.ThreadTrace, walk segmentWalk) ([]Access, Stats, *LoadLog) {
-	return e.reconstructPath(tt, e.emulateMemory && len(e.cfg.InvalidAddrs) == 0, func(e *Engine, ps *pathState, st *Stats) {
-		e.forwardPass(ps, st, true)
+	return e.reconstructPath(tt, e.emulateMemory && len(e.cfg.InvalidAddrs) == 0, func(e *Engine, ps *pathState) {
+		e.forwardPass(ps, true)
 		if e.cfg.Mode == ModeForwardBackward {
 			e.backwardPass(ps, walk)
-			e.forwardPass(ps, st, true)
+			e.forwardPass(ps, true)
 		}
 	})
 }
@@ -81,8 +81,8 @@ func (e *Engine) reconstructFullF2(tt *synthesis.ThreadTrace, walk segmentWalk) 
 // schedule and returns how many steps that pass walked and how many the
 // uncut walk would have walked over the same segments.
 func (e *Engine) BackwardSteps(tt *synthesis.ThreadTrace) (walked, uncut int) {
-	e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
-		e.forwardPass(ps, st, true)
+	e.reconstructPath(tt, false, func(e *Engine, ps *pathState) {
+		e.forwardPass(ps, true)
 		e.backwardPass(ps, func(e *Engine, ps *pathState, lo, hi int, cur regFile) int {
 			stop := e.backwardSegment(ps, lo, hi, cur)
 			walked += hi + 1 - stop
@@ -96,11 +96,10 @@ func (e *Engine) BackwardSteps(tt *synthesis.ThreadTrace) (walked, uncut int) {
 // ForwardSteps reconstructs tt with the fixed schedule and returns how many
 // steps its second forward pass walked, out of the path's steps.
 func (e *Engine) ForwardSteps(tt *synthesis.ThreadTrace) (walked, steps int) {
-	e.reconstructPath(tt, false, func(e *Engine, ps *pathState, st *Stats) {
-		e.forwardPass(ps, st, true)
+	e.reconstructPath(tt, false, func(e *Engine, ps *pathState) {
+		e.forwardPass(ps, true)
 		e.backwardPass(ps, (*Engine).backwardSegment)
-		ps.countTwice(st)
-		walked = e.forwardPass(ps, st, false)
+		walked = e.forwardPass(ps, false)
 	})
 	return walked, tt.Path.Len()
 }
@@ -109,14 +108,15 @@ func (e *Engine) ForwardSteps(tt *synthesis.ThreadTrace) (walked, steps int) {
 // every step of [lo, hi] is walked, and each step copies the whole
 // register file to keep its post-state.
 func (e *Engine) uncutSegment(ps *pathState, lo, hi int, cur regFile) int {
-	runs := ps.tt.Path.Runs
-	ri := ps.tt.Path.RunAt(hi)
+	runs := ps.tt.Path.Runs()
+	ri, first := ps.tt.Path.RunAt(hi)
 	var regBuf [2]isa.Reg
 	for i := hi; i >= lo; i-- {
-		if i < int(runs[ri].Step) {
+		if i < first {
 			ri--
+			first -= int(runs[ri].Len)
 		}
-		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
+		idx := int(runs[ri].Inst) + i - first
 		in := &e.p.Insts[idx]
 
 		post := cur
@@ -127,12 +127,9 @@ func (e *Engine) uncutSegment(ps *pathState, lo, hi int, cur regFile) int {
 			}
 		}
 
-		if i < hi && in.IsMemAccess() && !ps.known[i] {
+		if i < hi && in.IsMemAccess() && !ps.isKnown(i) {
 			if addr, ok := addrOf(in, &cur, isa.IndexToAddr(idx)); ok {
-				ps.known[i] = true
-				ps.origin[i] = OriginBackward
-				ps.addrs[i] = addr
-				ps.recovered++
+				ps.recover(i, addr, OriginBackward)
 			}
 		}
 

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -36,13 +35,19 @@ func (f *regFacts) set(r isa.Reg, v uint64) {
 // engine and reset per thread, so steady-state reconstruction reuses the
 // slices and map buckets of earlier threads instead of reallocating them.
 type pathState struct {
-	tt     *synthesis.ThreadTrace
-	origin []Origin // per step; originNone when unrecovered
-	known  []bool   // per step; true once the address is recovered
-	addrs  []uint64 // recovered address per step
+	tt *synthesis.ThreadTrace
+	// known has bit i set once step i's address is recovered.
+	known []uint64
+	// recs lists the recovered memory steps, one entry per step, as blocks
+	// that each ascend by step: every pass appends one block, starting at
+	// the offsets in blocks, and collect merges them.
+	recs   []recovery
+	blocks []int
+	ends   []int // collect's scratch
 	// fwdAvail records each step's pre-state register availability from
 	// the latest full forward pass, so the backward pass can tell which of
-	// its facts are new and the second forward pass which loads F1 lacked.
+	// its facts are new. Every full pass writes every step, so it is never
+	// cleared.
 	fwdAvail []uint16
 	// learned holds backward-derived pre-state register values, one entry
 	// per step in ascending step order, applied by the second forward pass
@@ -55,44 +60,68 @@ type pathState struct {
 	// by step; their emulated-memory entries are stored in ckMem.
 	ckpts []checkpoint
 	ckMem []memEntry
-	// loads tallies address-known loads per address for the thread's
-	// LoadLog when logLoads is set. Reused like mem.
-	loads    map[uint64]loadEntry
+	// hits lists, when logLoads is set, the addresses emulated memory
+	// served an address-known load from, for the thread's LoadLog.
+	hits     []uint64
 	logLoads bool
-	// recovered counts steps with known[i] set — the exact capacity the
-	// access list needs (upper-bounded by Stats.MemSteps).
-	recovered int
+}
+
+// recovery is one recovered memory step: its address and how it was
+// obtained.
+type recovery struct {
+	addr   uint64
+	step   uint32
+	origin Origin
 }
 
 // resetSlice returns s resized to n and zeroed, reusing capacity.
 func resetSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
+	s = resizeSlice(s, n)
 	clear(s)
 	return s
 }
 
-// reset prepares a (possibly pooled) state for one thread, tallying its
-// loads when logLoads is set.
+// resizeSlice returns s resized to n, reusing capacity; the contents are
+// stale.
+func resizeSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset prepares a (possibly pooled) state for one thread, logging its
+// memory-served loads when logLoads is set.
 func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	n := tt.Path.Len()
 	ps.tt = tt
-	ps.origin = resetSlice(ps.origin, n)
-	ps.known = resetSlice(ps.known, n)
-	ps.addrs = resetSlice(ps.addrs, n)
-	ps.fwdAvail = resetSlice(ps.fwdAvail, n)
+	ps.known = resetSlice(ps.known, (n+63)/64)
+	ps.recs, ps.blocks = ps.recs[:0], ps.blocks[:0]
+	ps.fwdAvail = resizeSlice(ps.fwdAvail, n)
 	ps.learned = ps.learned[:0]
 	if ps.mem == nil {
 		ps.mem = map[uint64]uint64{}
 	}
-	if logLoads && ps.loads == nil {
-		ps.loads = map[uint64]loadEntry{}
-	}
+	ps.hits = ps.hits[:0]
 	ps.logLoads = logLoads
-	ps.recovered = 0
 }
+
+// isKnown reports whether step i's address is recovered.
+func (ps *pathState) isKnown(i int) bool { return ps.known[i>>6]&(1<<(i&63)) != 0 }
+
+// recover records step i's address, unless it is already known, in the
+// current pass's block.
+func (ps *pathState) recover(i int, addr uint64, origin Origin) {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if ps.known[w]&b != 0 {
+		return
+	}
+	ps.known[w] |= b
+	ps.recs = append(ps.recs, recovery{addr: addr, step: uint32(i), origin: origin})
+}
+
+// beginBlock starts a pass's block of recoveries.
+func (ps *pathState) beginBlock() { ps.blocks = append(ps.blocks, len(ps.recs)) }
 
 // sampleCursor walks a thread's pinned samples in step order alongside a
 // pass over the path; syncCursor does the same for its sync records. Both
@@ -252,25 +281,11 @@ func (ps *pathState) resume(step int, rf *regFile, mem map[uint64]uint64) int {
 	return ck.step
 }
 
-// countTwice accounts for the second forward pass's address-known loads
-// that the first pass also made: every one of them has the same address in
-// both passes (DESIGN.md §10), so both InvalidHits and the LoadLog tally
-// count the first pass's loads twice, and the second pass adds only loads
-// whose address the first pass lacked.
-func (ps *pathState) countTwice(st *Stats) {
-	st.InvalidHits *= 2
-	for addr, en := range ps.loads {
-		en.loads *= 2
-		ps.loads[addr] = en
-	}
-}
-
 // release drops every reference into the thread's trace so a pooled state
 // never pins decoded paths or samples beyond its use.
 func (ps *pathState) release() {
 	ps.tt = nil
 	clear(ps.mem)
-	clear(ps.loads)
 }
 
 // statePool is a free list of pathStates. Unlike a sync.Pool (per-P
@@ -302,23 +317,23 @@ func (sp *statePool) put(ps *pathState) {
 	sp.mu.Unlock()
 }
 
-// loadLog freezes the tallied loads into the thread's LoadLog.
-func (ps *pathState) loadLog() *LoadLog {
-	log := &LoadLog{entries: make([]loadEntry, 0, len(ps.loads))}
-	for addr, en := range ps.loads {
-		en.addr = addr
-		log.entries = append(log.entries, en)
+// loadLog freezes the logged hit addresses, with the thread's accesses,
+// into its LoadLog.
+func (ps *pathState) loadLog(acc []Access) *LoadLog {
+	slices.Sort(ps.hits)
+	log := &LoadLog{acc: acc}
+	if hits := slices.Compact(ps.hits); len(hits) > 0 {
+		log.hits = slices.Clone(hits)
 	}
-	slices.SortFunc(log.entries, func(a, b loadEntry) int { return cmp.Compare(a.addr, b.addr) })
 	return log
 }
 
 // reconstructPath runs the path-guided modes (Forward, ForwardBackward)
 // with the given pass schedule, returning the thread's LoadLog when
 // logLoads is set.
-func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passes func(*Engine, *pathState, *Stats)) ([]Access, Stats, *LoadLog) {
+func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passes func(*Engine, *pathState)) ([]Access, Stats, *LoadLog) {
 	ps := e.states.get()
-	if ps.origin != nil {
+	if ps.known != nil {
 		e.met.recycles.Inc() // warm state: prior capacity is being reused
 	}
 	defer func() {
@@ -328,11 +343,11 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 	ps.reset(tt, logLoads)
 	var st Stats
 	st.PathSteps = tt.Path.Len()
-	for _, r := range tt.Path.Runs {
+	for _, r := range tt.Path.Runs() {
 		st.MemSteps += e.p.MemAccessesIn(int(r.Inst), int(r.Inst+r.Len))
 	}
 
-	passes(e, ps, &st)
+	passes(e, ps)
 	accesses := e.collect(ps, &st)
 
 	// Samples that could not be pinned to the path still contribute. On a
@@ -356,7 +371,7 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 	}
 	var log *LoadLog
 	if logLoads {
-		log = ps.loadLog()
+		log = ps.loadLog(accesses)
 	}
 	return accesses, st, log
 }
@@ -368,12 +383,11 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 // contains F1's at every step, so a further backward pass would learn no
 // new fact and recover no new access, and a third forward pass would
 // repeat F2 (DESIGN.md §10). F2 walks only where it can differ from F1.
-func (e *Engine) replayPasses(ps *pathState, st *Stats) {
-	e.forwardPass(ps, st, true)
+func (e *Engine) replayPasses(ps *pathState) {
+	e.forwardPass(ps, true)
 	if e.cfg.Mode == ModeForwardBackward {
 		e.backwardPass(ps, (*Engine).backwardSegment)
-		ps.countTwice(st)
-		e.forwardPass(ps, st, false)
+		e.forwardPass(ps, false)
 	}
 }
 
@@ -400,15 +414,17 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // restored at every sample, availability is tracked in the program map,
 // and every memory operand whose address becomes computable is recovered.
 //
-// A full pass walks every step, counts every address-known load, records
-// fwdAvail and saves checkpoints. The fixed schedule's second pass (full
-// false) walks only where it can differ from the full pass before it.
-// Wherever it is in that pass's state, it resumes from the last checkpoint
-// at or before the next learned fact and walks until a sample puts it back
-// in that state; it stops once no fact is left (DESIGN.md §10). It counts
-// only the loads whose address the first pass lacked (countTwice). It
-// returns the steps it walked.
-func (e *Engine) forwardPass(ps *pathState, st *Stats, full bool) (walked int) {
+// A full pass walks every step, records fwdAvail and saves checkpoints.
+// The fixed schedule's second pass (full false) walks only where it can
+// differ from the full pass before it. Wherever it is in that pass's
+// state, it resumes from the last checkpoint at or before the next learned
+// fact and walks until a sample puts it back in that state; it stops once
+// no fact is left (DESIGN.md §10). It returns the steps it walked.
+//
+// A step pays for its own instruction and one comparison: checkpoints,
+// learned facts and samples are handled only at ev, the first step at
+// which one of them is due.
+func (e *Engine) forwardPass(ps *pathState, full bool) (walked int) {
 	var rf regFile // all-unavailable before the first sample
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
@@ -418,7 +434,8 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats, full bool) (walked int) {
 		}
 	}
 	// invalidAddr avoids a map probe per memory step in the common case of
-	// no §5.1 invalidations yet.
+	// no §5.1 invalidations yet. Emulated memory never holds an
+	// invalidated address, so a load it serves needs no such check.
 	invalid := e.cfg.InvalidAddrs
 	hasInvalid := len(invalid) > 0
 	invalidAddr := func(addr uint64) bool { return hasInvalid && invalid[addr] }
@@ -431,7 +448,10 @@ func (e *Engine) forwardPass(ps *pathState, st *Stats, full bool) (walked int) {
 		ps.ckpts, ps.ckMem = ps.ckpts[:0], ps.ckMem[:0]
 		ckNext = 0
 	}
-	runs := ps.tt.Path.Runs
+	nextEvent := func() int { return min(ckNext, learned.next, samples.next) }
+	ev := nextEvent()
+	ps.beginBlock()
+	runs := ps.tt.Path.Runs()
 	n := ps.tt.Path.Len()
 stretches:
 	for from := 0; from < n; {
@@ -441,114 +461,104 @@ stretches:
 				return walked
 			}
 			from = ps.resume(learned.next, &rf, mem)
+			ev = nextEvent()
 		}
-		for ri := ps.tt.Path.RunAt(from); ri < len(runs); ri++ {
+		ri, start := ps.tt.Path.RunAt(from) // runs[ri] holds steps [start, start+Len)
+		for ; ri < len(runs); ri++ {
 			run := runs[ri]
-			base := int(run.Inst) - int(run.Step) // step i executes Insts[base+i]
-			first := max(from, int(run.Step))
-			insts := e.p.Insts[base+first : base+run.End()]
+			base := int(run.Inst) - start // step i executes Insts[base+i]
+			first := max(from, start)
+			start += int(run.Len)
+			insts := e.p.Insts[base+first : base+start]
 			for k := range insts {
 				// Read the instruction in place: with a per-step copy to the
 				// stack, the loop's speed depended on where the goroutine's
 				// stack sat (DESIGN.md §10, "Reading instructions in place").
 				in := &insts[k]
 				i := first + k
-				pc := isa.IndexToAddr(base + i)
-				if i == ckNext {
-					ps.saveCheckpoint(i, &rf, mem)
-					ckNext = (i/checkpointEvery + 1) * checkpointEvery
-				}
-				// Apply backward-derived facts for this step's pre-state.
-				if facts := learned.at(i); facts != nil {
-					for r := isa.Reg(0); r < isa.NumRegs; r++ {
-						if facts.avail&(1<<r) != 0 && !rf.has(r) {
-							rf.set(r, facts.val[r])
+				if i >= ev {
+					if i == ckNext {
+						ps.saveCheckpoint(i, &rf, mem)
+						ckNext = (i/checkpointEvery + 1) * checkpointEvery
+					}
+					// Apply backward-derived facts for this step's pre-state.
+					if facts := learned.at(i); facts != nil {
+						for r := isa.Reg(0); r < isa.NumRegs; r++ {
+							if facts.avail&(1<<r) != 0 && !rf.has(r) {
+								rf.set(r, facts.val[r])
+							}
 						}
 					}
+					// A sampled step: the record supplies the exact address
+					// and the full post-retirement register file.
+					if rec := samples.at(i); rec != nil {
+						if full {
+							ps.fwdAvail[i] = rf.avail
+						}
+						if in.IsMemAccess() {
+							ps.recover(i, rec.Addr, OriginSampled)
+						}
+						rf = regFileFromSample(rec)
+						if e.emulateMemory && !invalidAddr(rec.Addr) {
+							if in.Op == isa.LOAD {
+								// The loaded value is the post-state of rd.
+								mem[rec.Addr] = rf.get(in.Rd)
+							} else if in.Op == isa.STORE {
+								mem[rec.Addr] = rf.get(in.Rs)
+							}
+						}
+						if full {
+							ckNext = i + 1
+						} else if ps.inSyncAt(i+1, len(mem)) {
+							walked += i + 1 - from
+							from = i + 1
+							continue stretches
+						}
+						ev = nextEvent()
+						continue
+					}
+					ev = nextEvent()
 				}
-				// A second pass leaves fwdAvail to the first pass: a load
-				// whose address that pass knew, it counted already
-				// (countTwice).
-				counted := false
 				if full {
 					ps.fwdAvail[i] = rf.avail
-				} else if in.Op == isa.LOAD {
-					counted = addrKnown(in, ps.fwdAvail[i])
-				}
-
-				// A sampled step: the record supplies the exact address and
-				// the full post-retirement register file.
-				if rec := samples.at(i); rec != nil {
-					if !ps.known[i] {
-						ps.known[i] = true
-						ps.origin[i] = OriginSampled
-						ps.addrs[i] = rec.Addr
-						ps.recovered++
-					}
-					rf = regFileFromSample(rec)
-					if e.emulateMemory && !invalidAddr(rec.Addr) {
-						if in.Op == isa.LOAD {
-							// The loaded value is the post-state of rd.
-							mem[rec.Addr] = rf.get(in.Rd)
-						} else if in.Op == isa.STORE {
-							mem[rec.Addr] = rf.get(in.Rs)
-						}
-					}
-					if full {
-						ckNext = i + 1
-					} else if ps.inSyncAt(i+1, len(mem)) {
-						walked += i + 1 - from
-						from = i + 1
-						continue stretches
-					}
-					continue
 				}
 
 				switch in.Op {
-				case isa.LOAD, isa.STORE, isa.LEA:
-					addr, okAddr := addrOf(in, &rf, pc)
-					if okAddr && in.IsMemAccess() && !ps.known[i] {
-						ps.known[i] = true
-						ps.origin[i] = OriginForward
-						ps.addrs[i] = addr
-						ps.recovered++
+				case isa.LOAD:
+					addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i))
+					if !okAddr {
+						rf.clear(in.Rd)
+						break
 					}
-					switch in.Op {
-					case isa.LOAD:
-						v, hit := mem[addr]
-						if okAddr && ps.logLoads {
-							en := ps.loads[addr]
-							if !counted {
-								en.loads++
-							}
-							en.memHit = en.memHit || hit
-							ps.loads[addr] = en
+					ps.recover(i, addr, OriginForward)
+					if v, hit := mem[addr]; hit {
+						if ps.logLoads {
+							ps.logHit(addr)
 						}
-						if okAddr && hit && e.emulateMemory && !invalidAddr(addr) {
-							rf.set(in.Rd, v)
-						} else {
-							if okAddr && !counted && invalidAddr(addr) {
-								st.InvalidHits++
-							}
-							rf.clear(in.Rd)
-						}
-					case isa.STORE:
-						if !okAddr {
-							// A store to an unknown location may clobber
-							// anything: conservatively invalidate the
-							// emulated memory (§5.1).
-							memDrop()
-						} else if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
-							mem[addr] = rf.get(in.Rs)
-						} else {
-							delete(mem, addr)
-						}
-					case isa.LEA:
-						if okAddr {
-							rf.set(in.Rd, addr)
-						} else {
-							rf.clear(in.Rd)
-						}
+						rf.set(in.Rd, v)
+					} else {
+						rf.clear(in.Rd)
+					}
+				case isa.STORE:
+					addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i))
+					if !okAddr {
+						// A store to an unknown location may clobber
+						// anything: conservatively invalidate the emulated
+						// memory (§5.1).
+						memDrop()
+						break
+					}
+					ps.recover(i, addr, OriginForward)
+					if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
+						mem[addr] = rf.get(in.Rs)
+					} else {
+						delete(mem, addr)
+					}
+				case isa.LEA:
+					if addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i)); okAddr {
+						rf.set(in.Rd, addr)
+					} else {
+						rf.clear(in.Rd)
 					}
 
 				case isa.MOVI:
@@ -602,41 +612,72 @@ stretches:
 	return walked
 }
 
-// collect turns the per-step recovery state into the access list. The
-// slice is sized once from the recovery count (a tight version of the
-// Stats.MemSteps upper bound), so appending never regrows it.
+// logHit records that emulated memory served a load of addr. Runs of hits
+// on one address are logged once; loadLog sorts out the rest.
+func (ps *pathState) logHit(addr uint64) {
+	if n := len(ps.hits); n == 0 || ps.hits[n-1] != addr {
+		ps.hits = append(ps.hits, addr)
+	}
+}
+
+// collect turns the recovered steps into the access list, merging the
+// passes' ascending blocks and advancing a run cursor alongside them, so
+// it costs O(recovered + runs), not O(steps). It counts InvalidHits: the
+// recovered unsampled loads of an InvalidAddrs address.
 func (e *Engine) collect(ps *pathState, st *Stats) []Access {
-	out := make([]Access, 0, ps.recovered)
-	samples := newSampleCursor(ps.tt.Samples)
-	for _, run := range ps.tt.Path.Runs {
-		insts := e.p.Insts[run.Inst : run.Inst+run.Len]
-		for k := range insts {
-			in := &insts[k]
-			i := int(run.Step) + k
-			if !ps.known[i] || !in.IsMemAccess() {
-				continue
-			}
-			a := Access{
-				TID:    ps.tt.TID,
-				PC:     isa.IndexToAddr(int(run.Inst) + k),
-				Addr:   ps.addrs[i],
-				Store:  in.IsStore(),
-				Step:   i,
-				Origin: ps.origin[i],
-			}
-			switch ps.origin[i] {
-			case OriginSampled:
-				a.TSC = samples.at(i).TSC
-				st.Sampled++
-			case OriginForward:
-				a.TSC = ps.tt.EstimateTSC(i)
-				st.Forward++
-			case OriginBackward:
-				a.TSC = ps.tt.EstimateTSC(i)
-				st.Backward++
-			}
-			out = append(out, a)
+	out := make([]Access, 0, len(ps.recs))
+	// heads[b] is block b's next entry, ends[b] one past its last.
+	heads := ps.blocks
+	ps.ends = resizeSlice(ps.ends, len(heads))
+	ends := ps.ends
+	for b := range ends {
+		ends[b] = len(ps.recs)
+		if b+1 < len(heads) {
+			ends[b] = heads[b+1]
 		}
 	}
+	samples := newSampleCursor(ps.tt.Samples)
+	runs := ps.tt.Path.Runs()
+	ri, first := 0, 0 // runs[ri] holds steps [first, first+Len)
+	for {
+		best := -1
+		for b, h := range heads {
+			if h < ends[b] && (best < 0 || ps.recs[h].step < ps.recs[heads[best]].step) {
+				best = b
+			}
+		}
+		if best < 0 {
+			break
+		}
+		r := &ps.recs[heads[best]]
+		heads[best]++
+		i := int(r.step)
+		for first+int(runs[ri].Len) <= i {
+			first += int(runs[ri].Len)
+			ri++
+		}
+		idx := int(runs[ri].Inst) + i - first
+		a := Access{
+			TID:    ps.tt.TID,
+			Store:  e.p.Insts[idx].IsStore(),
+			Origin: r.origin,
+			PC:     isa.IndexToAddr(idx),
+			Addr:   r.addr,
+			Step:   i,
+		}
+		switch r.origin {
+		case OriginSampled:
+			a.TSC = samples.at(i).TSC
+			st.Sampled++
+		case OriginForward:
+			a.TSC = ps.tt.EstimateTSC(i)
+			st.Forward++
+		case OriginBackward:
+			a.TSC = ps.tt.EstimateTSC(i)
+			st.Backward++
+		}
+		out = append(out, a)
+	}
+	st.InvalidHits = invalidLoads(out, e.cfg.InvalidAddrs)
 	return out
 }

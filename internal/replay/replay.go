@@ -95,12 +95,12 @@ const (
 // "Extended Memory Trace").
 type Access struct {
 	TID    int32
+	Store  bool
+	Origin Origin
 	PC     uint64
 	Addr   uint64
-	Store  bool
 	TSC    uint64 // exact for sampled, estimated otherwise
 	Step   int    // path index; -1 when reconstructed without a path
-	Origin Origin
 }
 
 // Stats summarises one thread's reconstruction.
@@ -111,9 +111,10 @@ type Stats struct {
 	BasicBlock int
 	PathSteps  int
 	MemSteps   int // memory-access instructions on the path
-	// InvalidHits counts address-known loads of an InvalidAddrs address,
-	// over both forward passes, whether or not emulated memory held the
-	// address at the load.
+	// InvalidHits counts the recovered unsampled loads (Forward or
+	// Backward) of an InvalidAddrs address, each once. It is non-zero
+	// exactly when a forward pass knew the address of such a load
+	// (DESIGN.md §10).
 	InvalidHits int
 }
 
@@ -182,7 +183,7 @@ func newEngineMetrics(tel *telemetry.Registry) engineMetrics {
 		bb:          tel.Counter("prorace_replay_accesses_bb_total", "Accesses recovered by static basic-block reconstruction (replay.Stats.BasicBlock)."),
 		pathSteps:   tel.Counter("prorace_replay_path_steps_total", "Decoded path steps walked (replay.Stats.PathSteps)."),
 		memSteps:    tel.Counter("prorace_replay_mem_steps_total", "Memory-access instructions on walked paths (replay.Stats.MemSteps)."),
-		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Address-known loads of a §5.1 invalidated racy address, over both forward passes (replay.Stats.InvalidHits)."),
+		invalidHits: tel.Counter("prorace_replay_invalid_hits_total", "Recovered unsampled loads of a §5.1 invalidated racy address, each counted once (replay.Stats.InvalidHits)."),
 		recycles:    tel.Counter("prorace_replay_pool_recycles_total", "Reconstructions served by a warm pooled pathState."),
 	}
 }
@@ -251,25 +252,20 @@ func (e *Engine) reconstruct(tt *synthesis.ThreadTrace, logLoads bool) ([]Access
 	return acc, st, log
 }
 
-// LoadLog is what one thread's reconstruction recorded about its
-// address-known loads: per load address, how many such loads the forward
-// passes made and whether emulated memory held the address at one of them.
+// LoadLog is what one thread's reconstruction recorded for the §5.1
+// feedback: the addresses emulated memory served an address-known load
+// from, in either forward pass, and the reconstruction's accesses.
 //
 // That is enough to replay the effect of invalidating a set of addresses R
 // without replaying the thread. Invalidation changes emulated memory only
 // at keys in R, and only a load of such a key can observe the change — and
 // only if the key was present, since an absent key already left the loaded
 // register unknown. Without such a load both forward passes, and so the
-// backward pass, run as before; the only difference is that each
-// address-known load of a key in R now counts as an InvalidHit.
+// backward pass, run as before; the only difference is that each recovered
+// unsampled load of a key in R now counts as an InvalidHit.
 type LoadLog struct {
-	entries []loadEntry // ascending by addr
-}
-
-type loadEntry struct {
-	addr   uint64
-	loads  int  // address-known loads over both forward passes
-	memHit bool // emulated memory held addr at one of them
+	hits []uint64 // ascending and distinct
+	acc  []Access
 }
 
 // Reuse reports whether a reconstruction with InvalidAddrs = invalid would
@@ -279,16 +275,28 @@ func (l *LoadLog) Reuse(invalid map[uint64]bool) (invalidHits int, ok bool) {
 	if l == nil {
 		return 0, false
 	}
-	for _, en := range l.entries {
-		if !invalid[en.addr] {
-			continue
-		}
-		if en.memHit {
+	for _, addr := range l.hits {
+		if invalid[addr] {
 			return 0, false
 		}
-		invalidHits += en.loads
 	}
-	return invalidHits, true
+	return invalidLoads(l.acc, invalid), true
+}
+
+// invalidLoads counts the recovered unsampled loads in acc of an address
+// in invalid: Stats.InvalidHits.
+func invalidLoads(acc []Access, invalid map[uint64]bool) int {
+	if len(invalid) == 0 {
+		return 0
+	}
+	n := 0
+	for i := range acc {
+		a := &acc[i]
+		if !a.Store && (a.Origin == OriginForward || a.Origin == OriginBackward) && invalid[a.Addr] {
+			n++
+		}
+	}
+	return n
 }
 
 // ReconstructAll runs reconstruction over every thread, returning accesses

@@ -79,10 +79,8 @@ func TestTwoPassScheduleMatchesFixedPointOracleSeeds(t *testing.T) {
 // backward, ending early once a round past the first recovers nothing),
 // with memory emulation on and off and with InvalidAddrs nil and set to
 // the detected racy set. Every thread must reconstruct the same accesses
-// and the same Stats. InvalidHits is the exception: the old loop counted
-// the loads of a third forward pass too, so only whether it is non-zero
-// must agree. It returns the reconstructions compared and how many of them
-// had InvalidHits.
+// and the same Stats. It returns the reconstructions compared and how many
+// of them had InvalidHits.
 func matchRoundLoop(t *testing.T, name string, p *prog.Program, tr *tracefmt.Trace) (threads, invalidated int) {
 	t.Helper()
 	tts, err := synthesis.SynthesizeWith(p, tr, synthesis.Options{Lenient: true})
@@ -104,13 +102,9 @@ func matchRoundLoop(t *testing.T, name string, p *prog.Program, tr *tracefmt.Tra
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s racy=%d tid=%d: accesses differ from the round loop (%d vs %d)", name, len(invalid), tid, len(got), len(want))
 				}
-				if (gst.InvalidHits > 0) != (wst.InvalidHits > 0) {
-					t.Fatalf("%s racy=%d tid=%d: InvalidHits %d, round loop %d", name, len(invalid), tid, gst.InvalidHits, wst.InvalidHits)
-				}
 				if gst.InvalidHits > 0 {
 					invalidated++
 				}
-				gst.InvalidHits, wst.InvalidHits = 0, 0
 				if gst != wst {
 					t.Fatalf("%s racy=%d tid=%d: stats differ:\n got %+v\nwant %+v", name, len(invalid), tid, gst, wst)
 				}
@@ -152,7 +146,7 @@ func TestSecondForwardPassResolvesThroughEmulatedMemory(t *testing.T) {
 	const sampled, deref = 6, 4
 	// The path is main's first sampled+1 instructions: one straight-line run.
 	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
-	path := &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: uint32(entry), Len: sampled + 1}}}
+	path := ptdecode.NewPath(0, []ptdecode.Run{{Inst: uint32(entry), Len: sampled + 1}})
 	rec := tracefmt.PEBSRecord{TSC: 100, IP: isa.IndexToAddr(entry + sampled), Addr: out, Store: true}
 	rec.Regs[isa.R4], rec.Regs[isa.R6] = buf, slot
 	tt := &synthesis.ThreadTrace{

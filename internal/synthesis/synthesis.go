@@ -202,13 +202,14 @@ func scanBack(p *prog.Program, path *ptdecode.Path, stepIndex int, ip uint64) (i
 	if hi < 0 || !ok {
 		return 0, false // no step, or an IP no step can hold
 	}
-	runs := path.Runs
-	ri := path.RunAt(hi)
+	runs := path.Runs()
+	ri, first := path.RunAt(hi) // runs[ri] holds steps [first, first+Len)
 	for i := hi; i >= 0; i-- {
-		if i < int(runs[ri].Step) {
+		if i < first {
 			ri--
+			first -= int(runs[ri].Len)
 		}
-		idx := int(runs[ri].Inst) + i - int(runs[ri].Step)
+		idx := int(runs[ri].Inst) + i - first
 		if idx == want {
 			return i, true
 		}
@@ -228,7 +229,10 @@ func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 		kind tracefmt.SyncKind
 	}
 	var steps []pathSys
-	for _, r := range tt.Path.Runs {
+	next := 0 // the first step of the next run
+	for _, r := range tt.Path.Runs() {
+		first := next
+		next += int(r.Len)
 		if p.SyscallsIn(int(r.Inst), int(r.Inst+r.Len)) == 0 {
 			continue
 		}
@@ -237,7 +241,7 @@ func pinSync(p *prog.Program, tt *ThreadTrace, recs []tracefmt.SyncRecord) {
 				continue
 			}
 			if kind, traced := syncKindOf(in.Sys); traced {
-				steps = append(steps, pathSys{idx: int(r.Step) + k, kind: kind})
+				steps = append(steps, pathSys{idx: first + k, kind: kind})
 			}
 		}
 	}

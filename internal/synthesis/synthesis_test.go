@@ -195,8 +195,8 @@ func TestSynthesizeWithoutPT(t *testing.T) {
 
 // pcAt returns the address of the instruction a path executes at step.
 func pcAt(path *ptdecode.Path, step int) uint64 {
-	r := path.Runs[path.RunAt(step)]
-	return isa.IndexToAddr(int(r.Inst) + step - int(r.Step))
+	ri, first := path.RunAt(step)
+	return isa.IndexToAddr(int(path.Runs()[ri].Inst) + step - first)
 }
 
 // mustBuild finalises a test program; the inputs are static, so a build
@@ -229,15 +229,15 @@ func TestScanBackCrossesReanchor(t *testing.T) {
 	entry, _ := isa.AddrToIndex(p.MustLookup("main").Addr)
 	at := func(k int) uint32 { return uint32(entry + k) }
 	// Steps 0-1 run instructions 3-4; a re-anchor then resumes at 6.
-	path := &ptdecode.Path{Runs: []ptdecode.Run{
-		{Step: 0, Inst: at(3), Len: 2},
-		{Step: 2, Inst: at(6), Len: 1},
-	}}
+	path := ptdecode.NewPath(0, []ptdecode.Run{
+		{Inst: at(3), Len: 2},
+		{Inst: at(6), Len: 1},
+	})
 	if step, ok := scanBack(p, path, 3, isa.IndexToAddr(int(at(3)))); !ok || step != 0 {
 		t.Fatalf("scanBack across the re-anchor = %d, %v; want step 0", step, ok)
 	}
 	// A branch still ends the search: instructions 0-2 then 3-4.
-	path = &ptdecode.Path{Runs: []ptdecode.Run{{Step: 0, Inst: at(0), Len: 5}}}
+	path = ptdecode.NewPath(0, []ptdecode.Run{{Inst: at(0), Len: 5}})
 	if _, ok := scanBack(p, path, 5, isa.IndexToAddr(int(at(0)))); ok {
 		t.Fatal("scanBack searched past a branch")
 	}

@@ -78,7 +78,8 @@ type PTPacket struct {
 	// Count is the repeat count for TNTRep/TNTRepEx (each repeat is a
 	// full 6-bit Bits pattern).
 	Count uint32
-	// Exceptions are TNTRepEx's deviating groups, ascending by Index.
+	// Exceptions are TNTRepEx's deviating groups, ascending by Index. The
+	// reader reuses their storage: they are valid until its next Next.
 	Exceptions []TNTException
 	// Target is the TIP target address.
 	Target uint64
@@ -178,6 +179,7 @@ func AppendEnd(dst []byte) []byte { return append(dst, byte(PktEnd)) }
 type PTReader struct {
 	buf []byte
 	off int
+	exc []TNTException // TNTRepEx exceptions, reused packet to packet
 }
 
 // NewPTReader wraps an encoded stream.
@@ -208,7 +210,8 @@ func (r *PTReader) Resync() (pc uint64, skipped int, ok bool) {
 
 // Next decodes the next packet. done is true at (and after) the END marker
 // or when the buffer is exhausted. Malformed input yields an *ErrCorrupt;
-// the reader does not advance past it, so Offset/Resync see the damage.
+// the reader does not advance past it, so Offset/Resync see the damage. A
+// packet's Exceptions stay valid until the next call.
 func (r *PTReader) Next() (pkt PTPacket, done bool, err error) {
 	if r.off >= len(r.buf) {
 		return PTPacket{}, true, nil
@@ -250,12 +253,16 @@ func (r *PTReader) Next() (pkt PTPacket, done bool, err error) {
 			r.off -= 7
 			return PTPacket{}, true, &ErrCorrupt{Offset: r.off, Reason: "truncated TNTREPEX exceptions"}
 		}
+		r.exc = r.exc[:0]
 		for k := 0; k < nExc; k++ {
-			pkt.Exceptions = append(pkt.Exceptions, TNTException{
+			r.exc = append(r.exc, TNTException{
 				Index: binary.LittleEndian.Uint32(r.buf[r.off:]),
 				Bits:  r.buf[r.off+4],
 			})
 			r.off += 5
+		}
+		if nExc > 0 {
+			pkt.Exceptions = r.exc
 		}
 	case PktTIP:
 		if !need(9) {
