@@ -2,11 +2,14 @@ package isa
 
 // This file centralises the data-flow semantics of the ISA: which registers
 // an instruction reads and writes, how its ALU result is computed, and which
-// forms can be executed in reverse. Both the online interpreter
-// (internal/machine) and the offline replay engine (internal/replay) are
-// built on these functions, so the simulated "hardware" and the
-// reconstruction can never drift apart — the same guarantee the paper gets
-// from replaying the very binary that ran.
+// forms can be executed in reverse. The online interpreter
+// (internal/machine) calls these functions directly. The offline replay
+// engine (internal/replay) reads them through a per-program op table that it
+// builds from them once per engine (AppendAddrRegs, AppendDefs,
+// EffectiveAddress), and its arithmetic goes through the same ALU function
+// as Inst.ALU, so the simulated "hardware" and the reconstruction can never
+// drift apart — the same guarantee the paper gets from replaying the very
+// binary that ran.
 
 // Uses returns the registers the instruction reads. Memory-operand
 // registers are included. Flags are not registers; see ReadsFlags.
@@ -98,28 +101,44 @@ func BranchTaken(op Op, f Flags) bool {
 // ignored for immediate forms, which use Imm). ok is false for
 // non-arithmetic opcodes.
 func (i *Inst) ALU(dst, src uint64) (result uint64, ok bool) {
-	b := src
+	if i.ALUImm() {
+		src = uint64(i.Imm)
+	}
+	return ALU(i.Op, dst, src)
+}
+
+// ALUImm reports whether the instruction is an immediate-form arithmetic
+// instruction (rd = rd OP imm), whose second ALU operand is Imm, not Rs.
+func (i *Inst) ALUImm() bool {
 	switch i.Op {
 	case ADDI, SUBI, MULI, ANDI, ORI, XORI, SHLI, SHRI:
-		b = uint64(i.Imm)
+		return true
 	}
-	switch i.Op {
+	return false
+}
+
+// ALU computes a OP b for the arithmetic/logic opcode op; the register and
+// immediate forms of an operation compute the same function. ok is false
+// for non-arithmetic opcodes. Inst.ALU and the replay engine both compute
+// through it.
+func ALU(op Op, a, b uint64) (result uint64, ok bool) {
+	switch op {
 	case ADD, ADDI:
-		return dst + b, true
+		return a + b, true
 	case SUB, SUBI:
-		return dst - b, true
+		return a - b, true
 	case MUL, MULI:
-		return dst * b, true
+		return a * b, true
 	case AND, ANDI:
-		return dst & b, true
+		return a & b, true
 	case OR, ORI:
-		return dst | b, true
+		return a | b, true
 	case XOR, XORI:
-		return dst ^ b, true
+		return a ^ b, true
 	case SHL, SHLI:
-		return dst << (b & 63), true
+		return a << (b & 63), true
 	case SHR, SHRI:
-		return dst >> (b & 63), true
+		return a >> (b & 63), true
 	}
 	return 0, false
 }

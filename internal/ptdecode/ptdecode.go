@@ -165,8 +165,8 @@ type Options struct {
 	MaxSteps int
 	// Lenient enables gap recovery instead of first-error abort.
 	Lenient bool
-	// Scratch lends the decode a warm run buffer. Nil gives the decode a
-	// buffer of its own.
+	// Scratch lends the decode a warm run buffer and the stretches earlier
+	// decodes of the program walked. Nil gives the decode its own.
 	Scratch *Scratch
 }
 
@@ -191,38 +191,143 @@ func (q *queue[T]) pop() T {
 	return v
 }
 
-// Scratch holds the buffers walks collect their runs in. A walk appends to
-// a warm buffer, so it rarely regrows, and finish copies the runs once into
-// the path at their exact size. Share one Scratch across the decodes of
-// one analysis: a buffer is reused exactly when an earlier decode has
+// Scratch holds the buffers walks collect their runs in, each with the
+// stretches (stretchMemo) the walks that used it recorded. A walk appends
+// to a warm buffer, so it rarely regrows, and finish copies the runs once
+// into the path at their exact size. Share one Scratch across the decodes
+// of one analysis: a buffer is reused exactly when an earlier decode has
 // handed it back, so the analysis allocates the same on every run, which a
-// sync.Pool (per-P caches, emptied by the collector) does not give. The
-// zero value is ready to use; it is safe for concurrent use, each decode in
-// flight holding a buffer of its own.
+// sync.Pool (per-P caches, emptied by the collector) does not give, and
+// the threads of a program, which run the same loops, replay each other's
+// stretches. A Scratch keeps the runs of the paths it decoded reachable,
+// so it should not outlive the analysis. The zero value is ready to use;
+// it is safe for concurrent use, each decode in flight holding a buffer of
+// its own.
 type Scratch struct {
 	mu   sync.Mutex
-	free [][]Run
+	free []*walkBuf
 }
 
-// get returns a free buffer, or nil when there is none.
-func (s *Scratch) get() []Run {
+// walkBuf is what a walk borrows from a Scratch: the buffer it collects
+// its runs in, and the stretches earlier walks of the program recorded.
+type walkBuf struct {
+	runs []Run
+	memo stretchMemo
+}
+
+// get returns a free walkBuf, or a new one when there is none.
+func (s *Scratch) get() *walkBuf {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.free)
 	if n == 0 {
-		return nil
+		return &walkBuf{}
 	}
 	b := s.free[n-1]
 	s.free = s.free[:n-1]
 	return b
 }
 
-// put hands a buffer back for the next decode.
-func (s *Scratch) put(b []Run) {
+// put hands a walkBuf back for the next decode.
+func (s *Scratch) put(b *walkBuf) {
 	s.mu.Lock()
-	s.free = append(s.free, b[:0])
+	s.free = append(s.free, b)
 	s.mu.Unlock()
 }
+
+// A stretch is the part of the walk from one instruction through every
+// conditional branch whose outcome is already pending, up to the first
+// terminator the walk must handle itself. What it records depends only on
+// where it starts and on the pending outcomes (stretchKey), so the
+// stretchMemo replays a stretch seen before, run for run, instead of
+// walking it again. A thread's loop iterates with the same outcome words
+// over and over, so most stretches repeat.
+type stretchKey struct {
+	tnt  uint64
+	idx  int32
+	tntN uint8
+}
+
+// stretch is one memoised stretch. Its first run starts at the key's idx
+// and is firstLen steps long (the walk may have added them to the run
+// before). Then come runs[off : off+n] of the walk that recorded it, and
+// last, unless its Len is 0. The walk may extend the last run it recorded
+// afterwards, so a stretch keeps its own copy of its last run, and reads
+// only the runs between from the walk. It also holds its steps, the
+// terminator it stopped at, and the outcomes it left pending.
+type stretch struct {
+	walk, off, n uint32
+	firstLen     uint32 // 0 marks a free slot
+	last         Run
+	steps        uint32
+	term         int32
+	tnt          uint64
+	tntN         uint8
+}
+
+// stretchMemo holds the stretches of one program's walks in an
+// open-addressed hash table (linear probing, at most half full). A stretch
+// keeps no runs of its own: they are read from the runs of the walk that
+// recorded it, the walk's buffer while that walk goes on and its path's
+// runs after, which the path keeps unchanged. The memo holds at most
+// maxStretches stretches.
+type stretchMemo struct {
+	prog  *prog.Program
+	slots []stretchSlot // a power of two of them
+	used  int
+	// walks[w] are the runs of walk w once it has finished; cur is the
+	// walk in progress.
+	walks [][]Run
+	cur   uint32
+}
+
+type stretchSlot struct {
+	key stretchKey
+	st  stretch
+}
+
+// slot returns the slot of key: the one holding it, or the free slot
+// where it belongs. The table must have a free slot.
+func (m *stretchMemo) slot(key stretchKey) *stretchSlot {
+	h := (key.tnt ^ uint64(key.idx)<<32 ^ uint64(key.tntN)<<56) * 0x9E3779B97F4A7C15 // Fibonacci hashing
+	mask := uint64(len(m.slots) - 1)
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.st.firstLen == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+// lookup returns the stretch memoised for key, nil if none.
+func (m *stretchMemo) lookup(key stretchKey) *stretch {
+	if m.used == 0 {
+		return nil
+	}
+	if s := m.slot(key); s.st.firstLen > 0 {
+		return &s.st
+	}
+	return nil
+}
+
+// insert memoises st for key, growing the table to stay at most half
+// full.
+func (m *stretchMemo) insert(key stretchKey, st stretch) {
+	if 2*(m.used+1) > len(m.slots) {
+		old := m.slots
+		m.slots = make([]stretchSlot, max(2*len(old), 256))
+		for _, s := range old {
+			if s.st.firstLen > 0 {
+				*m.slot(s.key) = s
+			}
+		}
+	}
+	*m.slot(key) = stretchSlot{key, st}
+	m.used++
+}
+
+// maxStretches bounds the stretches a stretchMemo holds, and so its table
+// to 512 KB.
+const maxStretches = 1 << 12
 
 // decoder state over one stream.
 type decoder struct {
@@ -237,9 +342,11 @@ type decoder struct {
 	// steps is the walk's position: how many steps have been recorded.
 	// Markers and gaps take their StepIndex from it.
 	steps int
-	// runs collects the walk's runs in a buffer of scratch, taken at the
-	// first run; finish copies them into the path and hands it back.
+	// runs collects the walk's runs in the buffer of buf, borrowed from
+	// scratch for the walk; finish copies them into the path and hands buf
+	// back.
 	scratch *Scratch
+	buf     *walkBuf
 	runs    []Run
 	runEnd  int // the text index after the last step's instruction
 
@@ -478,6 +585,8 @@ func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path,
 
 	insts := p.Insts
 	exits := p.Exits()
+	d.borrow()
+	memo := &d.buf.memo
 walk:
 	for d.steps < d.maxSteps {
 		idx, okIdx := isa.AddrToIndex(pc)
@@ -508,31 +617,45 @@ walk:
 		// table gives the next run's index: no packet to read, no address
 		// to convert.
 		var term int
-		for {
-			x := exits[idx]
-			term = int(x.Term)
-			n := min(term+1, len(insts)) - idx
-			if len(d.runs) == cap(d.runs) {
-				d.growRuns()
+		key := stretchKey{tnt: d.tnt, idx: int32(idx), tntN: d.tntN}
+		if st := memo.lookup(key); st != nil && d.steps+int(st.steps) < d.maxSteps {
+			d.replayStretch(memo, idx, st)
+			term = int(st.term)
+		} else {
+			k0, runEnd0, steps0 := len(d.runs), d.runEnd, d.steps
+			var len0 uint32 // the length of the run the stretch may extend
+			if k0 > 0 {
+				len0 = d.runs[k0-1].Len
 			}
-			if left := d.maxSteps - d.steps; n > left {
-				d.appendRun(idx, left) // the budget ends the walk mid-run
-				break walk
+			for {
+				x := exits[idx]
+				term = int(x.Term)
+				n := min(term+1, len(insts)) - idx
+				if len(d.runs) == cap(d.runs) {
+					d.growRuns()
+				}
+				if left := d.maxSteps - d.steps; n > left {
+					d.appendRun(idx, left) // the budget ends the walk mid-run
+					break walk
+				}
+				d.appendRun(idx, n)
+				if x.Taken < 0 || d.tntN == 0 {
+					break
+				}
+				idx = term + 1
+				if d.takeBit() {
+					idx = int(x.Taken)
+				}
+				if idx == len(insts) || d.steps == d.maxSteps {
+					// The fall-through leaves the text segment, or the budget
+					// is spent: the checks above see to both.
+					pc = isa.IndexToAddr(idx)
+					continue walk
+				}
 			}
-			d.appendRun(idx, n)
-			if x.Taken < 0 || d.tntN == 0 {
-				break
-			}
-			idx = term + 1
-			if d.takeBit() {
-				idx = int(x.Taken)
-			}
-			if idx == len(insts) || d.steps == d.maxSteps {
-				// The fall-through leaves the text segment, or the budget
-				// is spent: the checks above see to both.
-				pc = isa.IndexToAddr(idx)
-				continue walk
-			}
+			// The stretch extended run k0-1 if it started where that run
+			// ended, as appendRun decides.
+			memo.record(d, key, k0, k0 > 0 && int(key.idx) == runEnd0, len0, d.steps-steps0, term)
 		}
 		pc = isa.IndexToAddr(term)
 		if term == len(insts) {
@@ -684,28 +807,88 @@ func (d *decoder) appendRun(idx, n int) {
 	d.runEnd = idx + n
 }
 
-// growRuns makes room for another run in a full buffer: it takes a buffer
-// from scratch at the walk's first run, and doubles a full one, rather
-// than take append's gentler growth for large slices, so a cold buffer
-// reaches a thread's size in fewer copies.
+// growRuns makes room for another run in a full buffer: it doubles it,
+// rather than take append's gentler growth for large slices, so a cold
+// buffer reaches a thread's size in fewer copies.
 func (d *decoder) growRuns() {
-	if d.runs == nil {
-		if d.runs = d.scratch.get(); cap(d.runs) > 0 {
-			return
-		}
-	}
 	grown := make([]Run, len(d.runs), max(2*cap(d.runs), 64))
 	copy(grown, d.runs)
 	d.runs = grown
 }
 
+// borrow takes a walkBuf from scratch for the walk, dropping its memo if
+// that was of another program.
+func (d *decoder) borrow() {
+	d.buf = d.scratch.get()
+	d.runs = d.buf.runs[:0]
+	m := &d.buf.memo
+	if m.prog != d.prog {
+		*m = stretchMemo{prog: d.prog}
+	}
+	m.cur = uint32(len(m.walks))
+	m.walks = append(m.walks, nil)
+}
+
+// record memoises the stretch the walk just took from key: the runs from
+// k0 on, and, if extended is set, the part of run k0-1 past its length
+// len0 before the stretch.
+func (m *stretchMemo) record(d *decoder, key stretchKey, k0 int, extended bool, len0 uint32, steps, term int) {
+	if m.used >= maxStretches {
+		return
+	}
+	st := stretch{
+		walk: m.cur, off: uint32(k0), steps: uint32(steps),
+		term: int32(term), tnt: d.tnt, tntN: d.tntN,
+	}
+	if extended {
+		st.firstLen = d.runs[k0-1].Len - len0
+	} else {
+		st.firstLen = d.runs[k0].Len
+		st.off++
+	}
+	if end := uint32(len(d.runs)); end > st.off {
+		st.n, st.last = end-1-st.off, d.runs[end-1]
+	}
+	m.insert(key, st)
+}
+
+// replayStretch records the memoised stretch st from idx as the walk
+// would: its first run extends the last run if that ends at idx.
+func (d *decoder) replayStretch(m *stretchMemo, idx int, st *stretch) {
+	src := m.walks[st.walk]
+	if st.walk == m.cur {
+		src = d.runs
+	}
+	mid := src[st.off : st.off+st.n]
+	for cap(d.runs)-len(d.runs) < len(mid)+2 {
+		d.growRuns()
+	}
+	if k := len(d.runs); k > 0 && idx == d.runEnd {
+		d.runs[k-1].Len += st.firstLen
+	} else {
+		d.runs = append(d.runs, Run{Inst: uint32(idx), Len: st.firstLen})
+	}
+	d.runs = append(d.runs, mid...)
+	if st.last.Len > 0 {
+		d.runs = append(d.runs, st.last)
+	}
+	last := d.runs[len(d.runs)-1]
+	d.runEnd = int(last.Inst + last.Len)
+	d.steps += int(st.steps)
+	d.tnt, d.tntN = st.tnt, st.tntN
+}
+
 // finish ends the walk: it assembles the path's runs and drains any
 // packets left so trailing TSC markers are recorded at the final position.
 func (d *decoder) finish() {
-	if d.runs != nil {
-		d.path.setRuns(slices.Clone(d.runs))
-		d.scratch.put(d.runs)
-		d.runs = nil
+	if d.buf != nil {
+		if len(d.runs) > 0 {
+			d.path.setRuns(slices.Clone(d.runs))
+		}
+		d.buf.memo.walks[d.buf.memo.cur] = d.path.runs
+		d.buf.runs = d.runs[:0]
+		d.scratch.put(d.buf)
+		d.buf, d.runs = nil, nil
 	}
 	d.draining = true
 	d.anchorOK = false

@@ -3,6 +3,7 @@ package ptdecode
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"prorace/internal/asm"
 	"prorace/internal/isa"
@@ -133,21 +134,28 @@ func TestDecodeMatchesExecutionExactly(t *testing.T) {
 func TestScratchReusedAcrossCollections(t *testing.T) {
 	p := branchyProgram()
 	_, streams, _, _ := runWithPT(t, p, 50)
-	decode := func(s *Scratch) {
+	s := new(Scratch)
+	// handedBack returns the backing array of the one buffer s holds.
+	handedBack := func() *Run {
+		if len(s.free) != 1 || cap(s.free[0].runs) == 0 {
+			t.Fatalf("scratch holds %d buffers after a decode; want one non-empty buffer", len(s.free))
+		}
+		return unsafe.SliceData(s.free[0].runs[:1])
+	}
+	decode := func() {
 		if _, err := DecodeWith(p, 0, streams[0], Options{Scratch: s}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cold := testing.AllocsPerRun(5, func() { decode(nil) })
-	s := new(Scratch)
-	decode(s)
-	warm := testing.AllocsPerRun(5, func() {
+	decode()
+	cold := handedBack()
+	for range 3 {
 		runtime.GC()
 		runtime.GC()
-		decode(s)
-	})
-	if warm >= cold {
-		t.Fatalf("a decode with a warm scratch made %.0f allocations after two collections, a cold one %.0f", warm, cold)
+		decode()
+		if warm := handedBack(); warm != cold {
+			t.Fatalf("a warm decode after two collections appended to a new buffer (%p), not the one the scratch handed back (%p)", warm, cold)
+		}
 	}
 }
 

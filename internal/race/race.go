@@ -399,6 +399,19 @@ func compareAccess(a, b replay.Access) int {
 	return cmp.Compare(a.Step, b.Step)
 }
 
+// accessesSorted reports whether accs is ordered by compareAccess. It
+// reads the accesses in place; slices.IsSortedFunc(accs, compareAccess)
+// copies two 40-byte accesses per comparison.
+func accessesSorted(accs []replay.Access) bool {
+	for i := 1; i < len(accs); i++ {
+		a, b := &accs[i-1], &accs[i]
+		if b.TSC < a.TSC || b.TSC == a.TSC && b.Step < a.Step {
+			return false
+		}
+	}
+	return true
+}
+
 // syncByTID partitions sync records per thread, preserving machine order.
 func syncByTID(sync []tracefmt.SyncRecord) map[int32][]tracefmt.SyncRecord {
 	out := map[int32][]tracefmt.SyncRecord{}
@@ -453,7 +466,7 @@ type streamCursor struct {
 func newStreamCursor(sync []tracefmt.SyncRecord, accs []replay.Access) *streamCursor {
 	// Reconstruction already emits each thread's accesses in this order,
 	// so the check usually spares the sort.
-	if !slices.IsSortedFunc(accs, compareAccess) {
+	if !accessesSorted(accs) {
 		slices.SortStableFunc(accs, compareAccess)
 	}
 	c := &streamCursor{sync: sync, accs: accs}

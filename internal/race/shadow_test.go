@@ -102,6 +102,23 @@ func TestProvPoolSetGetGrowRecycle(t *testing.T) {
 	if pc, _ := p.get(ref2, 3); pc != 0x43 {
 		t.Error("recycled row lost its new entry")
 	}
+	// Readers arriving in any order, re-reads among them, all stay
+	// findable as the row grows through several classes.
+	var ref3 provRef
+	tids := []int32{17, 3, 40, 0, 25, 8, 39, 12, 1, 33, 21, 5, 38, 9, 30, 2, 36, 14, 27, 6}
+	for round := uint64(1); round <= 2; round++ {
+		for _, tid := range tids {
+			p.set(&ref3, tid, uint64(tid)<<8|round, round)
+		}
+	}
+	for _, tid := range tids {
+		if pc, tsc := p.get(ref3, tid); pc != uint64(tid)<<8|2 || tsc != 2 {
+			t.Errorf("get(%d) = %#x/%d, want %#x/2", tid, pc, tsc, uint64(tid)<<8|2)
+		}
+	}
+	if pc, _ := p.get(ref3, 4); pc != 0 {
+		t.Error("a thread that never read must read zero")
+	}
 }
 
 func TestDetectorReadInflation(t *testing.T) {

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math/bits"
 	"slices"
 
 	"prorace/internal/isa"
@@ -55,7 +56,6 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 	runs := ps.tt.Path.Runs()
 	// runs[ri] holds the steps [first, first+Len).
 	ri, first := ps.tt.Path.RunAt(hi)
-	var regBuf [2]isa.Reg // stack scratch for AppendDefs/AppendAddrRegs
 	for i := hi; i >= lo; i-- {
 		// cur is the pre-state of step i+1.
 		if i < hi && cur.avail&^ps.fwdAvail[i+1] == 0 {
@@ -66,7 +66,10 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 			first -= int(runs[ri].Len)
 		}
 		idx := int(runs[ri].Inst) + i - first
-		in := &e.p.Insts[idx]
+		o := &e.ops[idx]
+		if o.kind == opBad {
+			e.badOp(idx)
+		}
 
 		// Derive the pre-state of step i from its post-state in cur —
 		// but first record, for the register this step defines (every
@@ -76,35 +79,30 @@ func (e *Engine) backwardSegment(ps *pathState, lo, hi int, cur regFile) int {
 		// propagation reached its definition — the paper's "yet another
 		// forward replay starting from the youngest instruction".
 		var (
-			def     isa.Reg
 			postVal uint64
 			postHas bool
 		)
-		if defs := in.AppendDefs(regBuf[:0]); len(defs) > 0 {
-			def = defs[0]
-			postHas, postVal = cur.has(def), cur.get(def)
+		if o.def != isa.NoReg {
+			postHas, postVal = cur.has(o.def), cur.get(o.def)
 		}
-		e.unexecute(in, &cur)
-		if postHas && (!cur.has(def) || cur.get(def) != postVal) {
-			ps.learnFact(hi, i+1, def, postVal)
+		e.unexecute(&e.p.Insts[idx], &cur)
+		if postHas && (!cur.has(o.def) || cur.get(o.def) != postVal) {
+			ps.learnFact(hi, i+1, o.def, postVal)
+		}
+		if i == hi {
+			continue // step hi is the sample: its address is already known
 		}
 
 		// cur is now the pre-state of step i: evaluate the memory operand.
-		// Step hi itself is the sample — already known.
-		if i < hi && in.IsMemAccess() && !ps.isKnown(i) {
-			if addr, ok := addrOf(in, &cur, isa.IndexToAddr(idx)); ok {
-				ps.recover(i, addr, OriginBackward)
-			}
+		if o.isMem() && o.known(cur.avail) && !ps.isKnown(i) {
+			ps.recover(i, o.addr(&cur), OriginBackward)
 		}
 
 		// Record facts the forward pass lacked, but only where they can
 		// pay off: at memory operands forward could not resolve.
-		if i < hi && in.HasMemOperand() {
-			for _, r := range in.AppendAddrRegs(regBuf[:0]) {
-				if cur.has(r) && ps.fwdAvail[i]&(1<<r) == 0 {
-					ps.learnedSlot(i).set(r, cur.get(r))
-				}
-			}
+		for m := o.need & cur.avail &^ ps.fwdAvail[i]; m != 0; m &= m - 1 {
+			r := isa.Reg(bits.TrailingZeros16(m))
+			ps.learn(i, r, cur.get(r))
 		}
 	}
 	return lo
@@ -116,7 +114,7 @@ func (ps *pathState) learnFact(hi, step int, r isa.Reg, v uint64) {
 	if step > hi || ps.fwdAvail[step]&(1<<r) != 0 {
 		return
 	}
-	ps.learnedSlot(step).set(r, v)
+	ps.learn(step, r, v)
 }
 
 // unexecute transforms cur from the post-state of in to its pre-state.

@@ -37,8 +37,8 @@ func (e *Engine) bbForRecord(rec *tracefmt.PEBSRecord, st *Stats) []Access {
 
 	var out []Access
 	emit := func(instIdx int, addr uint64, origin Origin) {
-		in := e.p.Insts[instIdx]
-		if !in.IsMemAccess() {
+		o := &e.ops[instIdx]
+		if !o.isMem() {
 			return
 		}
 		// TSC estimate: one cycle per instruction around the sample.
@@ -56,7 +56,7 @@ func (e *Engine) bbForRecord(rec *tracefmt.PEBSRecord, st *Stats) []Access {
 			TID:    rec.TID,
 			PC:     isa.IndexToAddr(instIdx),
 			Addr:   addr,
-			Store:  in.IsStore(),
+			Store:  o.kind == opStore,
 			TSC:    tsc,
 			Step:   -1,
 			Origin: origin,
@@ -73,70 +73,71 @@ func (e *Engine) bbForRecord(rec *tracefmt.PEBSRecord, st *Stats) []Access {
 	// Forward within the block from the sample's post-state.
 	rf := regFileFromSample(rec)
 	for idx := sampleIdx + 1; idx < blk.End; idx++ {
-		in := e.p.Insts[idx]
-		switch in.Op {
-		case isa.LOAD, isa.STORE, isa.LEA:
-			addr, okAddr := addrOf(&in, &rf, isa.IndexToAddr(idx))
+		o := &e.ops[idx]
+		switch o.kind {
+		case opLoad, opStore, opLea:
+			okAddr := o.known(rf.avail)
+			var addr uint64
 			if okAddr {
+				addr = o.addr(&rf)
 				emit(idx, addr, OriginBB)
 			}
-			switch in.Op {
-			case isa.LOAD:
-				rf.clear(in.Rd) // no memory emulation in RaceZ mode
-			case isa.LEA:
+			switch o.kind {
+			case opLoad:
+				rf.clear(o.rd) // no memory emulation in RaceZ mode
+			case opLea:
 				if okAddr {
-					rf.set(in.Rd, addr)
+					rf.set(o.rd, addr)
 				} else {
-					rf.clear(in.Rd)
+					rf.clear(o.rd)
 				}
 			}
-		case isa.MOVI:
-			rf.set(in.Rd, uint64(in.Imm))
-		case isa.MOV:
-			if rf.has(in.Rs) {
-				rf.set(in.Rd, rf.get(in.Rs))
+		case opMovi:
+			rf.set(o.rd, o.imm)
+		case opMov:
+			if rf.has(o.rs) {
+				rf.set(o.rd, rf.get(o.rs))
 			} else {
-				rf.clear(in.Rd)
+				rf.clear(o.rd)
 			}
-		case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
-			if rf.has(in.Rd) && rf.has(in.Rs) {
-				v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
-				rf.set(in.Rd, v)
+		case opALU:
+			if rf.has(o.rd) && rf.has(o.rs) {
+				v, _ := isa.ALU(o.alu, rf.get(o.rd), rf.get(o.rs))
+				rf.set(o.rd, v)
 			} else {
-				rf.clear(in.Rd)
+				rf.clear(o.rd)
 			}
-		case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-			if rf.has(in.Rd) {
-				v, _ := in.ALU(rf.get(in.Rd), 0)
-				rf.set(in.Rd, v)
+		case opALUImm:
+			if rf.has(o.rd) {
+				v, _ := isa.ALU(o.alu, rf.get(o.rd), o.imm)
+				rf.set(o.rd, v)
 			} else {
-				rf.clear(in.Rd)
+				rf.clear(o.rd)
 			}
-		case isa.SYSCALL:
+		case opSyscall:
 			rf.clear(isa.R0)
+		case opBad:
+			e.badOp(idx)
 		}
 	}
 
 	// Trivial backward propagation: walking backwards, a register is known
 	// as long as no instruction between it and the sample redefines it.
 	// (The sampled values are post-state; un-define the sampled
-	// instruction's own defs first.)
+	// instruction's own def first.)
 	rb := regFileFromSample(rec)
-	var regBuf [2]isa.Reg
-	for _, d := range e.p.Insts[sampleIdx].AppendDefs(regBuf[:0]) {
-		rb.clear(d)
-	}
-	for idx := sampleIdx - 1; idx >= blk.Start; idx-- {
-		in := e.p.Insts[idx]
-		// The instruction's defs were overwritten after this point: their
-		// pre-state is unknown (RaceZ has no reverse execution).
-		for _, d := range in.AppendDefs(regBuf[:0]) {
-			rb.clear(d)
+	for idx := sampleIdx; idx >= blk.Start; idx-- {
+		o := &e.ops[idx]
+		if o.kind == opBad {
+			e.badOp(idx)
 		}
-		if in.IsMemAccess() {
-			if addr, okAddr := addrOf(&in, &rb, isa.IndexToAddr(idx)); okAddr {
-				emit(idx, addr, OriginBB)
-			}
+		// The instruction's def was overwritten after this point: its
+		// pre-state is unknown (RaceZ has no reverse execution).
+		if o.def != isa.NoReg {
+			rb.clear(o.def)
+		}
+		if idx < sampleIdx && o.isMem() && o.known(rb.avail) {
+			emit(idx, o.addr(&rb), OriginBB)
 		}
 	}
 	return out

@@ -33,25 +33,10 @@ func (e *Engine) ReconstructThreadRounds(tt *synthesis.ThreadTrace, maxRounds in
 	return acc, st
 }
 
-// mergeLearned restores the one-entry-per-step ascending order of
-// ps.learned after a later round appended its own ascending block. A later
-// round learns only registers its forward pass lacked, so it never
-// re-learns a register an earlier round learned at the same step.
+// mergeLearned restores the ascending step order of ps.learned after a
+// later round appended its own ascending block.
 func mergeLearned(ps *pathState) {
-	slices.SortStableFunc(ps.learned, func(a, b stepFacts) int { return cmp.Compare(a.step, b.step) })
-	out := ps.learned[:0]
-	for _, f := range ps.learned {
-		if n := len(out); n > 0 && out[n-1].step == f.step {
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if f.facts.avail&(1<<r) != 0 {
-					out[n-1].facts.set(r, f.facts.val[r])
-				}
-			}
-			continue
-		}
-		out = append(out, f)
-	}
-	ps.learned = out
+	slices.SortStableFunc(ps.learned, func(a, b fact) int { return cmp.Compare(a.step, b.step) })
 }
 
 // ReconstructThreadUncut is ReconstructThreadLogged with every backward
@@ -136,10 +121,32 @@ func (e *Engine) uncutSegment(ps *pathState, lo, hi int, cur regFile) int {
 		if i < hi && in.HasMemOperand() {
 			for _, r := range in.AppendAddrRegs(regBuf[:0]) {
 				if cur.has(r) && ps.fwdAvail[i]&(1<<r) == 0 {
-					ps.learnedSlot(i).set(r, cur.get(r))
+					ps.learn(i, r, cur.get(r))
 				}
 			}
 		}
 	}
 	return lo
+}
+
+// addrOf computes a memory operand's effective address under availability
+// tracking from the isa methods alone; ok is false when a required
+// register is unavailable. The uncut reference walk reads instructions
+// through it instead of the op table, so it checks the table.
+func addrOf(in *isa.Inst, rf *regFile, pc uint64) (uint64, bool) {
+	if !addrKnown(in, rf.avail) {
+		return 0, false
+	}
+	return in.EffectiveAddress(func(r isa.Reg) uint64 { return rf.get(r) }, pc), true
+}
+
+// addrKnown reports whether every address register of in is in avail.
+func addrKnown(in *isa.Inst, avail uint16) bool {
+	var regBuf [2]isa.Reg
+	for _, r := range in.AppendAddrRegs(regBuf[:0]) {
+		if avail&(1<<r) == 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -11,23 +11,14 @@ import (
 	"prorace/internal/tracefmt"
 )
 
-// regFacts is a flat register-fact set: the backward-derived pre-state
-// values to apply at one step. A fixed array instead of a nested map keeps
-// the learned-fact bookkeeping allocation-free on the replay hot path.
-type regFacts struct {
-	avail uint16 // bit i set = a fact for register i
-	val   [isa.NumRegs]uint64
-}
-
-// stepFacts is the regFacts learned for one step's pre-state.
-type stepFacts struct {
-	step  int
-	facts regFacts
-}
-
-func (f *regFacts) set(r isa.Reg, v uint64) {
-	f.val[r] = v
-	f.avail |= 1 << r
+// fact is one backward-derived register value for a step's pre-state, 16
+// bytes. A step may have several entries, and two entries for the same
+// register at the same step always carry the same value (DESIGN.md §10,
+// "Pre-decoded replay ops").
+type fact struct {
+	step uint32
+	reg  isa.Reg
+	val  uint64
 }
 
 // pathState carries the per-path working arrays shared by the forward and
@@ -49,10 +40,10 @@ type pathState struct {
 	// its facts are new. Every full pass writes every step, so it is never
 	// cleared.
 	fwdAvail []uint16
-	// learned holds backward-derived pre-state register values, one entry
-	// per step in ascending step order, applied by the second forward pass
-	// through a factCursor.
-	learned []stepFacts
+	// learned holds backward-derived pre-state register values in
+	// ascending step order, applied by the second forward pass through a
+	// factCursor.
+	learned []fact
 	// mem is the forward pass's emulated-memory map, cleared at every pass
 	// and reused so its buckets survive across passes and threads.
 	mem map[uint64]uint64
@@ -183,45 +174,44 @@ func (c *syncCursor) at(step int) *tracefmt.SyncRecord {
 }
 
 // factCursor walks the learned facts alongside a forward pass, like
-// sampleCursor; the facts must ascend by step with one entry per step.
+// sampleCursor; the facts must ascend by step.
 type factCursor struct {
-	f    []stepFacts
+	f    []fact
 	next int // step of f[0]; math.MaxInt past the end
 }
 
-func newFactCursor(f []stepFacts) factCursor {
-	c := factCursor{f: f, next: math.MaxInt}
-	if len(f) > 0 {
-		c.next = f[0].step
-	}
+func newFactCursor(f []fact) factCursor {
+	c := factCursor{f: f}
+	c.advance(0)
 	return c
 }
 
-// at returns the facts learned for step, nil if none. Steps must be asked
-// in ascending order, every step of the path.
-func (c *factCursor) at(step int) *regFacts {
+// at returns the facts learned for step, none if there are none. Steps
+// must be asked in ascending order, every step of the path.
+func (c *factCursor) at(step int) []fact {
 	if step != c.next {
 		return nil
 	}
-	f := &c.f[0].facts
-	c.f = c.f[1:]
-	c.next = math.MaxInt
-	if len(c.f) > 0 {
-		c.next = c.f[0].step
+	n := 1
+	for n < len(c.f) && int(c.f[n].step) == step {
+		n++
 	}
-	return f
+	fs := c.f[:n]
+	c.advance(n)
+	return fs
 }
 
-// learnedSlot returns the step's fact slot, creating it if needed. A
-// backward walk asks for steps in non-increasing order, so the step's slot,
-// if any, is the last entry. The pointer is only valid until the next
-// learnedSlot call — the slice may grow under it.
-func (ps *pathState) learnedSlot(step int) *regFacts {
-	if n := len(ps.learned); n > 0 && ps.learned[n-1].step == step {
-		return &ps.learned[n-1].facts
+func (c *factCursor) advance(n int) {
+	c.f = c.f[n:]
+	c.next = math.MaxInt
+	if len(c.f) > 0 {
+		c.next = int(c.f[0].step)
 	}
-	ps.learned = append(ps.learned, stepFacts{step: step})
-	return &ps.learned[len(ps.learned)-1].facts
+}
+
+// learn records a learned fact at step.
+func (ps *pathState) learn(step int, r isa.Reg, v uint64) {
+	ps.learned = append(ps.learned, fact{step: uint32(step), reg: r, val: v})
 }
 
 // checkpointEvery is the spacing, in steps, of the regular checkpoints a
@@ -469,12 +459,11 @@ stretches:
 			base := int(run.Inst) - start // step i executes Insts[base+i]
 			first := max(from, start)
 			start += int(run.Len)
-			insts := e.p.Insts[base+first : base+start]
-			for k := range insts {
-				// Read the instruction in place: with a per-step copy to the
-				// stack, the loop's speed depended on where the goroutine's
-				// stack sat (DESIGN.md §10, "Reading instructions in place").
-				in := &insts[k]
+			ops := e.ops[base+first : base+start]
+			for k := range ops {
+				// Read the op in place, not as a per-step copy (DESIGN.md
+				// §10, "Reading instructions in place").
+				o := &ops[k]
 				i := first + k
 				if i >= ev {
 					if i == ckNext {
@@ -482,11 +471,9 @@ stretches:
 						ckNext = (i/checkpointEvery + 1) * checkpointEvery
 					}
 					// Apply backward-derived facts for this step's pre-state.
-					if facts := learned.at(i); facts != nil {
-						for r := isa.Reg(0); r < isa.NumRegs; r++ {
-							if facts.avail&(1<<r) != 0 && !rf.has(r) {
-								rf.set(r, facts.val[r])
-							}
+					for _, f := range learned.at(i) {
+						if !rf.has(f.reg) {
+							rf.set(f.reg, f.val)
 						}
 					}
 					// A sampled step: the record supplies the exact address
@@ -495,16 +482,19 @@ stretches:
 						if full {
 							ps.fwdAvail[i] = rf.avail
 						}
-						if in.IsMemAccess() {
+						switch o.kind {
+						case opLoad, opStore:
 							ps.recover(i, rec.Addr, OriginSampled)
+						case opBad:
+							e.badOp(base + i)
 						}
 						rf = regFileFromSample(rec)
 						if e.emulateMemory && !invalidAddr(rec.Addr) {
-							if in.Op == isa.LOAD {
+							if o.kind == opLoad {
 								// The loaded value is the post-state of rd.
-								mem[rec.Addr] = rf.get(in.Rd)
-							} else if in.Op == isa.STORE {
-								mem[rec.Addr] = rf.get(in.Rs)
+								mem[rec.Addr] = rf.get(o.rd)
+							} else if o.kind == opStore {
+								mem[rec.Addr] = rf.get(o.rs)
 							}
 						}
 						if full {
@@ -523,67 +513,67 @@ stretches:
 					ps.fwdAvail[i] = rf.avail
 				}
 
-				switch in.Op {
-				case isa.LOAD:
-					addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i))
-					if !okAddr {
-						rf.clear(in.Rd)
+				switch o.kind {
+				case opLoad:
+					if !o.known(rf.avail) {
+						rf.clear(o.rd)
 						break
 					}
+					addr := o.addr(&rf)
 					ps.recover(i, addr, OriginForward)
 					if v, hit := mem[addr]; hit {
 						if ps.logLoads {
 							ps.logHit(addr)
 						}
-						rf.set(in.Rd, v)
+						rf.set(o.rd, v)
 					} else {
-						rf.clear(in.Rd)
+						rf.clear(o.rd)
 					}
-				case isa.STORE:
-					addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i))
-					if !okAddr {
+				case opStore:
+					if !o.known(rf.avail) {
 						// A store to an unknown location may clobber
 						// anything: conservatively invalidate the emulated
 						// memory (§5.1).
 						memDrop()
 						break
 					}
+					addr := o.addr(&rf)
 					ps.recover(i, addr, OriginForward)
-					if e.emulateMemory && rf.has(in.Rs) && !invalidAddr(addr) {
-						mem[addr] = rf.get(in.Rs)
+					if e.emulateMemory && rf.has(o.rs) && !invalidAddr(addr) {
+						mem[addr] = rf.get(o.rs)
 					} else {
 						delete(mem, addr)
 					}
-				case isa.LEA:
-					if addr, okAddr := addrOf(in, &rf, isa.IndexToAddr(base+i)); okAddr {
-						rf.set(in.Rd, addr)
+				case opLea:
+					if o.known(rf.avail) {
+						rf.set(o.rd, o.addr(&rf))
 					} else {
-						rf.clear(in.Rd)
+						rf.clear(o.rd)
 					}
 
-				case isa.MOVI:
-					rf.set(in.Rd, uint64(in.Imm))
-				case isa.MOV:
-					if rf.has(in.Rs) {
-						rf.set(in.Rd, rf.get(in.Rs))
+				case opMovi:
+					rf.set(o.rd, o.imm)
+				case opMov:
+					if rf.has(o.rs) {
+						rf.set(o.rd, rf.get(o.rs))
 					} else {
-						rf.clear(in.Rd)
+						rf.clear(o.rd)
 					}
-				case isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR:
-					if rf.has(in.Rd) && rf.has(in.Rs) {
-						v, _ := in.ALU(rf.get(in.Rd), rf.get(in.Rs))
-						rf.set(in.Rd, v)
+				case opALU:
+					if rf.has(o.rd) && rf.has(o.rs) {
+						v, _ := isa.ALU(o.alu, rf.get(o.rd), rf.get(o.rs))
+						rf.set(o.rd, v)
 					} else {
-						rf.clear(in.Rd)
+						rf.clear(o.rd)
 					}
-				case isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
-					if rf.has(in.Rd) {
-						v, _ := in.ALU(rf.get(in.Rd), 0)
-						rf.set(in.Rd, v)
+				case opALUImm:
+					if rf.has(o.rd) {
+						v, _ := isa.ALU(o.alu, rf.get(o.rd), o.imm)
+						rf.set(o.rd, v)
 					} else {
-						rf.clear(in.Rd)
+						rf.clear(o.rd)
 					}
-				case isa.SYSCALL:
+				case opSyscall:
 					// Emulated memory cannot be trusted across a syscall
 					// (§5.1).
 					memDrop()
@@ -602,6 +592,8 @@ stretches:
 					} else {
 						rf.clear(isa.R0)
 					}
+				case opBad:
+					e.badOp(base + i)
 				default:
 					// CMP/CMPI set flags only; branches are path-driven.
 				}
@@ -659,7 +651,7 @@ func (e *Engine) collect(ps *pathState, st *Stats) []Access {
 		idx := int(runs[ri].Inst) + i - first
 		a := Access{
 			TID:    ps.tt.TID,
-			Store:  e.p.Insts[idx].IsStore(),
+			Store:  e.ops[idx].kind == opStore,
 			Origin: r.origin,
 			PC:     isa.IndexToAddr(idx),
 			Addr:   r.addr,

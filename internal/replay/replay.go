@@ -147,6 +147,8 @@ func (s Stats) RecoveryRatio() float64 {
 type Engine struct {
 	p   *prog.Program
 	cfg Config
+	// ops is p's text decoded for replay, indexed like p.Insts.
+	ops []op
 	// emulateMemory enables the program-map memory emulation of §5.1: on
 	// for the path modes, off for the ablation.
 	emulateMemory bool
@@ -201,12 +203,14 @@ func (m *engineMetrics) publish(st *Stats) {
 	m.invalidHits.AddInt(st.InvalidHits)
 }
 
-// NewEngine returns an engine for cfg. Path modes emulate memory (§5.1)
-// unless DisableMemoryEmulation turns it off.
+// NewEngine returns an engine for cfg, decoding p's instructions for replay
+// once (O(len(p.Insts))). Path modes emulate memory (§5.1) unless
+// DisableMemoryEmulation turns it off.
 func NewEngine(p *prog.Program, cfg Config) *Engine {
 	return &Engine{
 		p:             p,
 		cfg:           cfg,
+		ops:           compileOps(p.Insts),
 		emulateMemory: cfg.Mode != ModeBasicBlock,
 		states:        &statePool{},
 		met:           newEngineMetrics(cfg.Telemetry),
@@ -334,24 +338,4 @@ func regFileFromSample(rec *tracefmt.PEBSRecord) regFile {
 	rf.val = rec.Regs
 	rf.avail = 0xFFFF
 	return rf
-}
-
-// addrOf computes a memory operand's effective address under availability
-// tracking; ok is false when a required register is unavailable.
-func addrOf(in *isa.Inst, rf *regFile, pc uint64) (uint64, bool) {
-	if !addrKnown(in, rf.avail) {
-		return 0, false
-	}
-	return in.EffectiveAddress(func(r isa.Reg) uint64 { return rf.get(r) }, pc), true
-}
-
-// addrKnown reports whether every address register of in is in avail.
-func addrKnown(in *isa.Inst, avail uint16) bool {
-	var regBuf [2]isa.Reg
-	for _, r := range in.AppendAddrRegs(regBuf[:0]) {
-		if avail&(1<<r) == 0 {
-			return false
-		}
-	}
-	return true
 }
