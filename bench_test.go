@@ -448,7 +448,7 @@ func BenchmarkReplayForwardBackward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(w.Program, res.Trace)
+	tts, err := synthesis.SynthesizeWith(w.Program, res.Trace, synthesis.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func BenchmarkFastTrackDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(w.Program, res.Trace)
+	tts, err := synthesis.SynthesizeWith(w.Program, res.Trace, synthesis.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func BenchmarkDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(w.Program, res.Trace)
+	tts, err := synthesis.SynthesizeWith(w.Program, res.Trace, synthesis.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,9 +66,6 @@ type TraceOptions struct {
 	// registry (telemetry.Default), which is itself nil unless a command
 	// enabled it — the zero-overhead disabled state.
 	Telemetry *telemetry.Registry
-	// MetricsAddr, when non-empty, guarantees a live telemetry HTTP
-	// listener on that address for the run (see WithMetricsAddr).
-	MetricsAddr string
 }
 
 // TraceResult is the outcome of the online phase.
@@ -90,10 +87,7 @@ func TraceProgram(p *prog.Program, opts TraceOptions) (*TraceResult, error) {
 	if opts.Period == 0 {
 		opts.Period = 10000
 	}
-	tel, telErr := resolveTelemetry(opts.Telemetry, opts.MetricsAddr)
-	if telErr != nil {
-		return nil, telErr
-	}
+	tel := resolveTelemetry(opts.Telemetry)
 	span := tel.StartSpan("trace")
 	defer span.End()
 	res := &TraceResult{}
@@ -154,11 +148,6 @@ type AnalysisOptions struct {
 	// sequential: 0 = fully sequential, <0 = GOMAXPROCS, n > 0 = n
 	// workers. Results are identical to the sequential analysis.
 	Workers int
-	// ShadowCapacityHint pre-sizes the detector's shadow table for the
-	// expected number of distinct variables (addresses × allocation
-	// generations), avoiding growth-and-reinsert cycles on large traces.
-	// 0 starts small and grows; the hint never changes results.
-	ShadowCapacityHint int
 	// DisableMemoryEmulation turns off the §5.1 program-map memory
 	// emulation (ablation).
 	DisableMemoryEmulation bool
@@ -182,9 +171,6 @@ type AnalysisOptions struct {
 	// the trace before analysis — the test harness for the degradation
 	// machinery. The original trace is never modified.
 	FaultSpec *faultinject.Spec
-	// ThreadRetries bounds retries of a per-thread stage that failed with
-	// a transient error (0 means the default of 1; negative disables).
-	ThreadRetries int
 	// DecodeMaxSteps bounds each thread's PT decode (0 means the decoder's
 	// large default). Lenient analyses of heavily corrupted streams use it
 	// to keep resynced walks from wandering for millions of steps.
@@ -200,9 +186,6 @@ type AnalysisOptions struct {
 	// command enabled it); instrumentation is allocation-free when no
 	// registry is resolved.
 	Telemetry *telemetry.Registry
-	// MetricsAddr, when non-empty, guarantees a live telemetry HTTP
-	// listener on that address for the run (see WithMetricsAddr).
-	MetricsAddr string
 	// Witnesses, when non-nil, attaches a deterministic reproduction to
 	// every report: a replay-verified witness schedule (seed + forced
 	// scheduler-decision prefix) is generated per race, serialized into
@@ -210,18 +193,6 @@ type AnalysisOptions struct {
 	// generation re-executes the program a bounded number of times per
 	// report; it never changes which races are reported.
 	Witnesses *WitnessOptions
-}
-
-// threadRetries resolves the ThreadRetries knob.
-func threadRetries(n int) int {
-	switch {
-	case n == 0:
-		return 1
-	case n < 0:
-		return 0
-	default:
-		return n
-	}
 }
 
 // AnalysisResult is the outcome of the offline phase.
@@ -236,10 +207,11 @@ type AnalysisResult struct {
 	ReplayStats replay.Stats
 	// Accesses is the extended memory trace per thread.
 	Accesses map[int32][]replay.Access
-	// Phase timings for the paper's Figure 12 breakdown. The stages run
-	// one after another at every Workers count, so Decode + Reconstruct +
-	// Detect is the elapsed analysis (the §5.1 feedback pass adds to
-	// ReconstructTime and, when it re-detects, to DetectTime).
+	// Phase timings for the paper's Figure 12 breakdown, read from the
+	// stage spans of the same name. The stages run one after another at
+	// every Workers count, so Decode + Reconstruct + Detect is the elapsed
+	// analysis (the §5.1 feedback pass adds to ReconstructTime and, when
+	// it re-detects, to DetectTime).
 	DecodeTime      time.Duration
 	ReconstructTime time.Duration
 	DetectTime      time.Duration
@@ -295,11 +267,7 @@ func workerCount(n int) int {
 // of aborting it.
 func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*AnalysisResult, error) {
 	workers := workerCount(opts.Workers)
-	retries := threadRetries(opts.ThreadRetries)
-	tel, telErr := resolveTelemetry(opts.Telemetry, opts.MetricsAddr)
-	if telErr != nil {
-		return nil, telErr
-	}
+	tel := resolveTelemetry(opts.Telemetry)
 	span := tel.StartSpan("analyze")
 	defer span.End()
 	res := &AnalysisResult{Workers: workers}
@@ -316,7 +284,6 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 		return nil, sanErr
 	}
 
-	t0 := time.Now()
 	spanDecode := tel.StartSpan("decode+synthesis")
 	var tts map[int32]*synthesis.ThreadTrace
 	var err error
@@ -335,7 +302,7 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	}
 	if tts == nil {
 		errsBefore := len(deg.ThreadErrors)
-		tts, err = synthesizeThreads(p, tr, workers, sopts, opts.Strict, retries, deg)
+		tts, err = synthesizeThreads(p, tr, workers, sopts, opts.Strict, deg)
 		if err != nil {
 			return nil, fmt.Errorf("core: synthesis: %w", err)
 		}
@@ -346,8 +313,7 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 			cache.Put(ckey, tts)
 		}
 	}
-	spanDecode.End()
-	res.DecodeTime = time.Since(t0)
+	res.DecodeTime = spanDecode.End()
 	publishSynthesis(tel, tts, res.DecodeCacheHit)
 
 	// Account what decoding gave up, and check the sync log's invariants:
@@ -360,32 +326,27 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	deg.SyncAnomalies = gaps.Anomalies()
 
 	ropts := race.Options{
-		TrackAllocations:   !opts.DisableAllocationTracking,
-		MaxReports:         opts.MaxReports,
-		Telemetry:          tel,
-		ShadowCapacityHint: opts.ShadowCapacityHint,
+		TrackAllocations: !opts.DisableAllocationTracking,
+		MaxReports:       opts.MaxReports,
+		Telemetry:        tel,
 	}
 	engine := replay.NewEngine(p, replay.Config{Mode: opts.Mode, Telemetry: tel})
 	if opts.DisableMemoryEmulation {
 		engine = engine.DisableMemoryEmulation()
 	}
 
-	t1 := time.Now()
 	spanRecon := tel.StartSpan("reconstruct")
-	recon, terrs := reconstructThreads(engine, tts, sortedTIDs(tts), workers, retries, tel)
-	spanRecon.End()
+	recon, terrs := reconstructThreads(engine, tts, sortedTIDs(tts), workers, tel)
+	res.ReconstructTime = spanRecon.End()
 	if err := absorbThreadErrors(terrs, opts.Strict, deg); err != nil {
 		return nil, err
 	}
-	res.ReconstructTime = time.Since(t1)
 	res.ReplayStats = statsOf(recon)
 	accesses := accessesOf(recon)
 
-	t2 := time.Now()
 	spanDetect := tel.StartSpan("detect")
 	det := detect(ropts, tr.Sync, accesses)
-	spanDetect.End()
-	res.DetectTime = time.Since(t2)
+	res.DetectTime = spanDetect.End()
 
 	// §5.1 feedback: if races were found and reconstruction used memory
 	// emulation, regenerate the trace with the racy locations invalidated
@@ -394,13 +355,13 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 	if racy := det.RacyAddrSet(); !opts.DisableRaceFeedback && opts.Mode != replay.ModeBasicBlock &&
 		!opts.DisableMemoryEmulation && len(racy) > 0 {
 		spanFeedback := tel.StartSpan("feedback")
-		t1 := time.Now()
+		spanRecon := tel.StartSpan("reconstruct")
 		engine2 := replay.NewEngine(p, replay.Config{Mode: opts.Mode, InvalidAddrs: racy, Telemetry: tel})
-		recon2, changed, terrs2 := regenerate(engine2, racy, tts, recon, workers, retries, tel)
+		recon2, changed, terrs2 := regenerate(engine2, racy, tts, recon, workers, tel)
+		res.ReconstructTime += spanRecon.End()
 		if err := absorbThreadErrors(terrs2, opts.Strict, deg); err != nil {
 			return nil, err
 		}
-		res.ReconstructTime += time.Since(t1)
 		// Adopt the regeneration only when the invalidation touched the
 		// trace at all.
 		if rstats2 := statsOf(recon2); rstats2.InvalidHits > 0 {
@@ -408,9 +369,9 @@ func Analyze(p *prog.Program, tr *tracefmt.Trace, opts AnalysisOptions) (*Analys
 			accesses = accessesOf(recon2)
 			res.Regenerated = true
 			if changed {
-				t2 := time.Now()
+				spanDetect := tel.StartSpan("detect")
 				det = detect(ropts, tr.Sync, accesses)
-				res.DetectTime += time.Since(t2)
+				res.DetectTime += spanDetect.End()
 			}
 		}
 		spanFeedback.End()
@@ -485,7 +446,7 @@ func detect(ropts race.Options, syncRecs []tracefmt.SyncRecord, accesses map[int
 // produce (see replay.LoadLog), so it is reused with only its InvalidHits
 // filled in. changed reports whether a re-run thread's accesses differ
 // from the first pass — if not, the detector input is unchanged too.
-func regenerate(engine *replay.Engine, racy map[uint64]bool, tts map[int32]*synthesis.ThreadTrace, first map[int32]threadRecon, workers, retries int, tel *telemetry.Registry) (recon map[int32]threadRecon, changed bool, terrs []*ThreadError) {
+func regenerate(engine *replay.Engine, racy map[uint64]bool, tts map[int32]*synthesis.ThreadTrace, first map[int32]threadRecon, workers int, tel *telemetry.Registry) (recon map[int32]threadRecon, changed bool, terrs []*ThreadError) {
 	recon = make(map[int32]threadRecon, len(tts))
 	var rerun []int32
 	for _, tid := range sortedTIDs(tts) {
@@ -497,7 +458,7 @@ func regenerate(engine *replay.Engine, racy map[uint64]bool, tts map[int32]*synt
 		}
 		rerun = append(rerun, tid)
 	}
-	redone, terrs := reconstructThreads(engine, tts, rerun, workers, retries, tel)
+	redone, terrs := reconstructThreads(engine, tts, rerun, workers, tel)
 	for _, tid := range rerun {
 		r, ok := redone[tid]
 		if ok {

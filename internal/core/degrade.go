@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,9 +18,6 @@ type ThreadError struct {
 	// "reconstruct".
 	Stage string
 	Err   error
-	// Retries is how many times the stage was retried before giving up
-	// (transient errors only).
-	Retries int
 }
 
 func (e *ThreadError) Error() string {
@@ -30,45 +26,19 @@ func (e *ThreadError) Error() string {
 
 func (e *ThreadError) Unwrap() error { return e.Err }
 
-// TransientError marks a failure worth retrying (an overloaded sink, a
-// temporarily unavailable resource). The worker pool retries a stage whose
-// error IsTransient up to AnalysisOptions.ThreadRetries times before
-// recording a ThreadError.
-type TransientError struct {
-	Err error
-}
-
-func (e *TransientError) Error() string { return fmt.Sprintf("transient: %v", e.Err) }
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// IsTransient reports whether err is (or wraps) a TransientError.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
-
-// runWithRetry executes one per-thread stage, converting panics to errors
-// and retrying transient failures up to `retries` extra attempts. It
-// returns nil on success, or the ThreadError that made the stage fail.
-func runWithRetry(tid int32, stage string, retries int, f func() error) *ThreadError {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("panic: %v", r)
-				}
-			}()
-			return f()
-		}()
-		if err == nil {
-			return nil
+// guardThread executes one per-thread stage, converting a panic into an
+// error, so a thread that fails takes only itself down. It returns nil on
+// success, or the ThreadError that made the stage fail.
+func guardThread(tid int32, stage string, f func() error) (te *ThreadError) {
+	defer func() {
+		if r := recover(); r != nil {
+			te = &ThreadError{TID: tid, Stage: stage, Err: fmt.Errorf("panic: %v", r)}
 		}
-		lastErr = err
-		if !IsTransient(err) || attempt >= retries {
-			return &ThreadError{TID: tid, Stage: stage, Err: lastErr, Retries: attempt}
-		}
+	}()
+	if err := f(); err != nil {
+		return &ThreadError{TID: tid, Stage: stage, Err: err}
 	}
+	return nil
 }
 
 // Degradation summarises everything a lenient analysis had to give up —

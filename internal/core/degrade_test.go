@@ -13,18 +13,24 @@ import (
 	"prorace/internal/tracefmt"
 )
 
-func TestRunWithRetrySuccess(t *testing.T) {
+func TestGuardThreadSuccess(t *testing.T) {
 	calls := 0
-	if te := runWithRetry(1, "synthesis", 2, func() error { calls++; return nil }); te != nil {
+	if te := guardThread(1, "synthesis", func() error { calls++; return nil }); te != nil {
 		t.Fatalf("unexpected error: %v", te)
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d", calls)
 	}
+	// An error is attributed to its thread and stage, after one call.
+	calls = 0
+	te := guardThread(2, "synthesis", func() error { calls++; return errors.New("fatal") })
+	if te == nil || calls != 1 || te.TID != 2 || te.Stage != "synthesis" || te.Err.Error() != "fatal" {
+		t.Fatalf("calls=%d te=%+v, want one call and the error attributed to tid 2", calls, te)
+	}
 }
 
-func TestRunWithRetryPanicBecomesError(t *testing.T) {
-	te := runWithRetry(3, "reconstruct", 2, func() error { panic("boom") })
+func TestGuardThreadPanicBecomesError(t *testing.T) {
+	te := guardThread(3, "reconstruct", func() error { panic("boom") })
 	if te == nil {
 		t.Fatal("panic swallowed")
 	}
@@ -33,48 +39,6 @@ func TestRunWithRetryPanicBecomesError(t *testing.T) {
 	}
 	if !strings.Contains(te.Error(), "boom") {
 		t.Fatalf("panic value lost: %v", te)
-	}
-	// Panics are not transient: no retries.
-	if te.Retries != 0 {
-		t.Fatalf("panic was retried %d times", te.Retries)
-	}
-}
-
-func TestRunWithRetryTransient(t *testing.T) {
-	calls := 0
-	te := runWithRetry(1, "synthesis", 2, func() error {
-		calls++
-		if calls < 3 {
-			return &TransientError{Err: errors.New("busy")}
-		}
-		return nil
-	})
-	if te != nil {
-		t.Fatalf("transient failure not retried to success: %v", te)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-
-	// Budget exhausted: the last transient error is reported with its
-	// retry count.
-	calls = 0
-	te = runWithRetry(1, "synthesis", 2, func() error {
-		calls++
-		return &TransientError{Err: errors.New("busy")}
-	})
-	if te == nil || calls != 3 || te.Retries != 2 {
-		t.Fatalf("calls=%d te=%+v, want 3 calls and 2 retries", calls, te)
-	}
-	if !IsTransient(te.Err) {
-		t.Error("transient marker lost")
-	}
-
-	// Non-transient errors never retry.
-	calls = 0
-	te = runWithRetry(1, "synthesis", 5, func() error { calls++; return errors.New("fatal") })
-	if te == nil || calls != 1 {
-		t.Fatalf("non-transient error retried: calls=%d", calls)
 	}
 }
 

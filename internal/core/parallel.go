@@ -43,20 +43,20 @@ func fanOut(tids []int32, workers int, one func(tid int32)) {
 // synthesizeThreads decodes and pins every thread of tr on up to workers
 // goroutines, each guarded: a failing or panicking thread is dropped in
 // lenient mode (recorded in deg) and aborts in strict mode.
-func synthesizeThreads(p *prog.Program, tr *tracefmt.Trace, workers int, sopts synthesis.Options, strict bool, retries int, deg *Degradation) (map[int32]*synthesis.ThreadTrace, error) {
+func synthesizeThreads(p *prog.Program, tr *tracefmt.Trace, workers int, sopts synthesis.Options, strict bool, deg *Degradation) (map[int32]*synthesis.ThreadTrace, error) {
 	var (
 		mu    sync.Mutex
 		out   = map[int32]*synthesis.ThreadTrace{}
 		terrs []*ThreadError
-		// One scratch per analysis, so its run buffers warm once per
-		// call and the call allocates the same on every run.
-		scratch = new(ptdecode.Scratch)
 	)
+	// One scratch per analysis, so its run buffers warm once per call and
+	// the call allocates the same on every run.
+	sopts.Scratch = new(ptdecode.Scratch)
 	fanOut(tr.TIDs(), workers, func(tid int32) {
 		var tt *synthesis.ThreadTrace
-		te := runWithRetry(tid, "synthesis", retries, func() error {
+		te := guardThread(tid, "synthesis", func() error {
 			var err error
-			tt, err = synthesis.SynthesizeThreadScratch(p, tr, tid, sopts, scratch)
+			tt, err = synthesis.SynthesizeThread(p, tr, tid, sopts)
 			return err
 		})
 		mu.Lock()
@@ -74,10 +74,10 @@ func synthesizeThreads(p *prog.Program, tr *tracefmt.Trace, workers int, sopts s
 }
 
 // reconstructThreads reconstructs the listed threads of tts on up to
-// workers goroutines, each guarded: a panic or transient failure becomes a
-// ThreadError, returned for the caller to absorb or abort on, instead of
-// failing the pass.
-func reconstructThreads(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, tids []int32, workers, retries int, tel *telemetry.Registry) (map[int32]threadRecon, []*ThreadError) {
+// workers goroutines, each guarded: a panic becomes a ThreadError,
+// returned for the caller to absorb or abort on, instead of failing the
+// pass.
+func reconstructThreads(engine *replay.Engine, tts map[int32]*synthesis.ThreadTrace, tids []int32, workers int, tel *telemetry.Registry) (map[int32]threadRecon, []*ThreadError) {
 	var (
 		mu    sync.Mutex
 		out   = make(map[int32]threadRecon, len(tids))
@@ -89,12 +89,12 @@ func reconstructThreads(engine *replay.Engine, tts map[int32]*synthesis.ThreadTr
 		// drawn only when threads run concurrently. The guard keeps the hot
 		// loop allocation-free when telemetry is off: no name string is
 		// built for a nil registry.
-		var sp *telemetry.Span
+		var sp telemetry.Span
 		if tel != nil && workers > 1 {
 			sp = tel.StartSpanTrack("reconstruct t"+strconv.Itoa(int(tid)), 1+int(tid))
 		}
 		var r threadRecon
-		te := runWithRetry(tid, "reconstruct", retries, func() error {
+		te := guardThread(tid, "reconstruct", func() error {
 			r.acc, r.st, r.log = engine.ReconstructThreadLogged(tts[tid])
 			return nil
 		})

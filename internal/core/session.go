@@ -27,8 +27,8 @@ import (
 //     before decode, because PT decoding, sample pinning, and the §5.1
 //     feedback loop are all whole-stream computations — see DESIGN.md §13
 //     for why mid-stream detector carry-over cannot be byte-faithful);
-//   - the resolved telemetry registry and metrics listener, resolved once
-//     at session creation and reused by every analysis round;
+//   - the telemetry registry, resolved once at session creation and
+//     reused by every analysis round;
 //   - the decoded-path cache named in the options, if any, so repeated
 //     rounds over identical content share decodes;
 //   - the detector output of the last round (reports, racy addresses),
@@ -66,18 +66,10 @@ var ErrFinished = errors.New("core: analyzer session is finished")
 var ErrSegmentRejected = errors.New("core: segment rejected")
 
 // NewAnalyzer opens an analysis session for one traced program. The
-// telemetry registry (and, when opts.MetricsAddr is set, the live metrics
-// listener) is resolved once here and carried across every round.
+// telemetry registry is resolved once here and carried across every round.
 func NewAnalyzer(p *prog.Program, opts AnalysisOptions) (*Analyzer, error) {
-	tel, err := resolveTelemetry(opts.Telemetry, opts.MetricsAddr)
-	if err != nil {
-		return nil, err
-	}
-	// Rounds reuse the registry resolved here instead of resolving (and
-	// possibly starting a listener) again.
-	opts.Telemetry = tel
-	opts.MetricsAddr = ""
-	return &Analyzer{p: p, opts: opts, tel: tel}, nil
+	opts.Telemetry = resolveTelemetry(opts.Telemetry)
+	return &Analyzer{p: p, opts: opts, tel: opts.Telemetry}, nil
 }
 
 // Feed appends one trace segment to the session. Segments must belong to
@@ -130,23 +122,6 @@ func (a *Analyzer) reject(reason string) error {
 		a.tel.Counter("prorace_session_segments_rejected_total", "Trace segments refused by Analyzer sessions (foreign run header, nil segment).").Inc()
 	}
 	return fmt.Errorf("%w: %s", ErrSegmentRejected, reason)
-}
-
-// Segments reports how many segments the session has accepted.
-func (a *Analyzer) Segments() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.segments
-}
-
-// MergedBytes reports the serialised size of the trace accumulated so far.
-func (a *Analyzer) MergedBytes() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.merged == nil {
-		return 0
-	}
-	return a.merged.TotalBytes()
 }
 
 // Snapshot runs the offline analysis over everything fed so far and

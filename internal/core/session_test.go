@@ -174,9 +174,9 @@ func TestAnalyzerSnapshotAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Segments() != len(segs) || fin.Segments != len(segs) {
+	if a.segments != len(segs) || fin.Segments != len(segs) {
 		t.Fatalf("session accepted %d segments, result says %d, want %d",
-			a.Segments(), fin.Segments, len(segs))
+			a.segments, fin.Segments, len(segs))
 	}
 }
 

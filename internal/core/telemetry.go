@@ -8,23 +8,12 @@ import (
 // resolveTelemetry picks the registry an entry point runs with: the one
 // named in the options, else the process-wide default (installed by the
 // cmds' -metrics-addr/-timeline flags — one atomic load, nil when
-// telemetry is off). A MetricsAddr additionally guarantees a live HTTP
-// listener, creating and installing a default registry if the options
-// carried none; a listen failure is surfaced because the caller explicitly
-// asked to be scrapeable.
-func resolveTelemetry(reg *telemetry.Registry, addr string) (*telemetry.Registry, error) {
+// telemetry is off).
+func resolveTelemetry(reg *telemetry.Registry) *telemetry.Registry {
 	if reg == nil {
-		reg = telemetry.Default()
+		return telemetry.Default()
 	}
-	if addr != "" {
-		if reg == nil {
-			reg = telemetry.EnableDefault()
-		}
-		if _, err := telemetry.EnsureServer(addr, reg); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
+	return reg
 }
 
 // publishSynthesis folds the decode + synthesis outcome into the registry.
@@ -65,7 +54,7 @@ func publishSynthesis(tel *telemetry.Registry, tts map[int32]*synthesis.ThreadTr
 }
 
 // publishAnalysis folds one completed analysis into the registry:
-// degradation/retry accounting, §5.1 regeneration, report volume, and the
+// degradation accounting, §5.1 regeneration, report volume, and the
 // per-stage latency histograms behind the Figure 12 timings.
 func publishAnalysis(tel *telemetry.Registry, res *AnalysisResult) {
 	if tel == nil {
@@ -80,12 +69,7 @@ func publishAnalysis(tel *telemetry.Registry, res *AnalysisResult) {
 		tel.Counter("prorace_analysis_regenerations_total", "Analyses re-run by the §5.1 racy-address feedback loop (AnalysisResult.Regenerated).").Inc()
 	}
 	tel.Counter("prorace_analysis_thread_errors_total", "Isolated per-thread stage failures (Degradation.ThreadErrors).").AddInt(len(deg.ThreadErrors))
-	tel.Counter("prorace_analysis_dropped_threads_total", "Threads dropped after exhausting retries (Degradation.DroppedThreads).").AddInt(len(deg.DroppedThreads))
-	retries := 0
-	for _, te := range deg.ThreadErrors {
-		retries += te.Retries
-	}
-	tel.Counter("prorace_analysis_thread_retries_total", "Retry attempts recorded on failing threads (ThreadError.Retries).").AddInt(retries)
+	tel.Counter("prorace_analysis_dropped_threads_total", "Threads dropped after a stage failed for them (Degradation.DroppedThreads).").AddInt(len(deg.DroppedThreads))
 	tel.Counter("prorace_analysis_invalid_tid_drops_total", "Records discarded by trace sanitisation (Degradation.InvalidTIDDrops).").AddInt(deg.InvalidTIDDrops)
 	tel.Counter("prorace_analysis_sync_anomalies_total", "Sync-log invariant violations (Degradation.SyncAnomalies).").AddInt(deg.SyncAnomalies)
 	tel.Counter("prorace_analysis_gap_adjacent_reports_total", "Reports flagged as touching a degraded thread (Degradation.GapAdjacentRaces).").AddInt(deg.GapAdjacentRaces)

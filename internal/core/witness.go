@@ -25,8 +25,6 @@ type WitnessOptions struct {
 	// run, for the traced-replay fallback rung.
 	DriverKind driver.Kind
 	EnablePT   bool
-	// Budget caps replays per report (0 = witness.DefaultBudget).
-	Budget int
 }
 
 // attachWitnesses generates a witness per report, storing outcomes in
@@ -46,7 +44,7 @@ func attachWitnesses(p *prog.Program, tr *tracefmt.Trace, res *AnalysisResult, w
 	}
 	res.Witnesses = make([]*witness.Outcome, len(res.Reports))
 	for i := range res.Reports {
-		out := witness.Generate(p, wo.Spec, mcfg, tspec, res.Reports[i], witness.GenConfig{Budget: wo.Budget})
+		out := witness.Generate(p, wo.Spec, mcfg, tspec, res.Reports[i])
 		res.Witnesses[i] = out
 		if out.Witness != nil {
 			res.Reports[i].Witness = string(out.Witness.Encode())

@@ -214,12 +214,3 @@ func (h *Harness) parsecVanillaSweep() ([]Point, error) {
 func (h *Harness) realVanillaSweep() ([]Point, error) {
 	return h.sweep("real-vanilla", workload.RealApps(h.cfg.Scale), driver.Vanilla, false)
 }
-
-// byPeriod groups points by sampling period, preserving Periods order.
-func (h *Harness) byPeriod(pts []Point) map[uint64][]Point {
-	out := map[uint64][]Point{}
-	for _, p := range pts {
-		out[p.Period] = append(out[p.Period], p)
-	}
-	return out
-}

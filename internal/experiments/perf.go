@@ -156,7 +156,7 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bsTTS, err := synthesis.Synthesize(bs.Program, bsTrace.Trace)
+	bsTTS, err := synthesis.SynthesizeWith(bs.Program, bsTrace.Trace, synthesis.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (h *Harness) Perf() (*PerfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	detTTS, err := synthesis.Synthesize(mysql.Program, detTrace.Trace)
+	detTTS, err := synthesis.SynthesizeWith(mysql.Program, detTrace.Trace, synthesis.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestAlertFirstSeenOnly(t *testing.T) {
 	}
 	m := mkMonitor()
 	for _, f := range frames {
-		if err := m.Ingest("web-1", f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestAlertFirstSeenOnly(t *testing.T) {
 	// every race but first-seen fires nothing.
 	m2 := mkMonitor()
 	for _, f := range frames {
-		if err := m2.Ingest("web-1", f); err != nil {
+		if err := m2.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func daemonFingerprints(t *testing.T, p *prog.Program, trace *tracefmt.Trace, n 
 	segs := trace.Split(n)
 	for i, seg := range segs {
 		frame := tracefmt.EncodeSegment(tracefmt.SegmentHeader{Seq: uint64(i), Tenant: "t", Final: i == len(segs)-1}, seg)
-		if err := m.Ingest("t", frame); err != nil {
+		if err := m.IngestWith("t", IngestMeta{}, frame); err != nil {
 			t.Fatal(err)
 		}
 	}

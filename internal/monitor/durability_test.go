@@ -59,7 +59,7 @@ func TestRecoveryReplay(t *testing.T) {
 	}
 	base.RegisterProgram(p)
 	for _, f := range frames {
-		if err := base.Ingest("web-1", f); err != nil {
+		if err := base.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestRecoveryReplay(t *testing.T) {
 	}
 	// The replayed keys were re-learned, so a producer retry of an already
 	// accepted segment still dedups after the restart.
-	if err := m.IngestKeyed("web-1", "run-2", frames[2]); err != nil {
+	if err := m.IngestWith("web-1", IngestMeta{Key: "run-2"}, frames[2]); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Tenants()[0].Duplicates; got != 1 {
@@ -124,7 +124,7 @@ func TestRecoveryAfterCleanShutdown(t *testing.T) {
 	}
 	m.RegisterProgram(p)
 	for i, f := range frames {
-		if err := m.IngestKeyed("web-1", fmt.Sprintf("k%d", i), f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{Key: fmt.Sprintf("k%d", i)}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestRecoveryAfterCleanShutdown(t *testing.T) {
 	}
 	// The stream continues where it left off: the next segment analyses
 	// against the rebuilt window, without bootstrapping from scratch.
-	if err := m2.IngestKeyed("web-1", "k-next", frames[len(frames)-1]); err != nil {
+	if err := m2.IngestWith("web-1", IngestMeta{Key: "k-next"}, frames[len(frames)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := m2.Tenants()[0].Analyses; got != 1 {
@@ -172,7 +172,7 @@ func TestGracefulDrainNoLoss(t *testing.T) {
 	}
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("web-1", f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,10 +251,10 @@ func TestIdempotentResend(t *testing.T) {
 	defer m.Close()
 	p, frames := oracleRun(t, "t", 2)
 	m.RegisterProgram(p)
-	if err := m.IngestKeyed("t", "abc", frames[0]); err != nil {
+	if err := m.IngestWith("t", IngestMeta{Key: "abc"}, frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.IngestKeyed("t", "abc", frames[0]); err != nil {
+	if err := m.IngestWith("t", IngestMeta{Key: "abc"}, frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Tenants()[0]
@@ -262,7 +262,7 @@ func TestIdempotentResend(t *testing.T) {
 		t.Fatalf("segments=%d duplicates=%d, want 1/1", st.Segments, st.Duplicates)
 	}
 	// A different key for the same bytes is a deliberate re-send: ingested.
-	if err := m.IngestKeyed("t", "def", frames[0]); err != nil {
+	if err := m.IngestWith("t", IngestMeta{Key: "def"}, frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Tenants()[0]; st.Segments != 2 {
@@ -289,7 +289,7 @@ func TestWindowRetirement(t *testing.T) {
 	p, frames := oracleRun(t, "t", 2)
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("t", f); err != nil {
+		if err := m.IngestWith("t", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 		now = now.Add(time.Second)
@@ -315,7 +315,7 @@ func TestWindowRetirement(t *testing.T) {
 	}
 	// An aged window also retires at the next round: a fresh segment
 	// analyses alone instead of against stale history.
-	if err := m.Ingest("t", frames[0]); err != nil {
+	if err := m.IngestWith("t", IngestMeta{}, frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Tenants()[0]; st.WindowSegments != 1 {

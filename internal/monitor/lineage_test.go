@@ -138,7 +138,7 @@ func TestLineageEndToEnd(t *testing.T) {
 		t.Fatalf("rejected lineage = (%+v, %v)", l, ok)
 	}
 	before, _, _, _ := m.tenantFor("web-1").lin.stats()
-	if err := m.Ingest("web-1", corrupt); err == nil {
+	if err := m.IngestWith("web-1", IngestMeta{}, corrupt); err == nil {
 		t.Fatal("corrupt frame accepted")
 	}
 	if after, _, _, _ := m.tenantFor("web-1").lin.stats(); after != before {
@@ -182,7 +182,7 @@ func TestLineageStatusCounters(t *testing.T) {
 	p, frames := oracleRun(t, "web-1", 3)
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("web-1", f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestStatuszSurface(t *testing.T) {
 	p, frames := oracleRun(t, "web-1", 3)
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("web-1", f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}

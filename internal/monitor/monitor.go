@@ -46,18 +46,18 @@ type Config struct {
 	// re-analysed per round (the rolling window). Default 8.
 	Window int
 	// QueueDepth bounds each tenant's pending (ingested but not yet
-	// analysed) segments; beyond it Ingest rejects with ErrQueueFull.
+	// analysed) segments; beyond it IngestWith rejects with ErrQueueFull.
 	// Default 32.
 	QueueDepth int
 	// Workers is the analysis worker-pool size. 0 means synchronous:
-	// Ingest runs the analysis round inline before returning
+	// IngestWith runs the analysis round inline before returning
 	// (deterministic, used by tests and small deployments).
 	Workers int
 	// StorePath is the persistent report store location ("" = in memory).
 	StorePath string
 	// WALDir enables the write-ahead segment journal: every accepted
-	// frame is journaled (fsynced per Fsync) before Ingest returns, and a
-	// restarted Monitor replays the unanalyzed suffix. "" disables
+	// frame is journaled (fsynced per Fsync) before IngestWith returns,
+	// and a restarted Monitor replays the unanalyzed suffix. "" disables
 	// durability (the PR-6 behaviour).
 	WALDir string
 	// Fsync is the journal fsync policy (zero value = FsyncAlways).
@@ -75,8 +75,8 @@ type Config struct {
 	// segments' stage histories are reconstructable). Default 256.
 	LineageDepth int
 	// Analysis configures each window's analysis round; the zero value is
-	// full ProRace. Telemetry and MetricsAddr inside it are ignored — the
-	// monitor owns telemetry.
+	// full ProRace. Telemetry inside it is ignored — the monitor owns
+	// telemetry.
 	Analysis core.AnalysisOptions
 	// Telemetry receives the proraced_* series (nil disables).
 	Telemetry *telemetry.Registry
@@ -100,10 +100,10 @@ type ingestSeg struct {
 	lin string
 }
 
-// tenant is one producer's stream state. Lifecycle: Ingest appends decoded
-// segments to pending under mu; a worker (holding the busy claim via the
-// monitor's queue) drains pending into window, analyses a copy of the
-// window outside mu, then records the outcome back under mu. The busy
+// tenant is one producer's stream state. Lifecycle: IngestWith appends
+// decoded segments to pending under mu; a worker (holding the busy claim
+// via the monitor's queue) drains pending into window, analyses a copy of
+// the window outside mu, then records the outcome back under mu. The busy
 // claim serialises analysis per tenant, so window order is ingest order.
 type tenant struct {
 	name string
@@ -258,7 +258,6 @@ func New(cfg Config) (*Monitor, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	cfg.Analysis.Telemetry = nil
-	cfg.Analysis.MetricsAddr = ""
 	store, err := OpenStore(cfg.StorePath)
 	if err != nil {
 		return nil, err
@@ -389,17 +388,6 @@ type IngestMeta struct {
 	// Lineage is the producer-minted lineage ID (X-Prorace-Lineage; "" =
 	// the daemon mints one).
 	Lineage string
-}
-
-// Ingest accepts one PRSG-framed segment from tenantName (no idempotency
-// key — every call is treated as a distinct segment).
-func (m *Monitor) Ingest(tenantName string, frame []byte) error {
-	return m.IngestWith(tenantName, IngestMeta{}, frame)
-}
-
-// IngestKeyed is IngestWith with only an idempotency key.
-func (m *Monitor) IngestKeyed(tenantName, key string, frame []byte) error {
-	return m.IngestWith(tenantName, IngestMeta{Key: key}, frame)
 }
 
 // IngestWith accepts one PRSG-framed segment from tenantName. Decoding,
@@ -709,7 +697,7 @@ func (m *Monitor) worker() {
 		m.inflight--
 		t.queued = false
 		// New segments may have arrived while we analysed; requeue rather
-		// than strand them (Ingest's schedule saw queued == true).
+		// than strand them (IngestWith's schedule saw queued == true).
 		t.mu.Lock()
 		again := len(t.pending) > 0
 		t.mu.Unlock()

@@ -20,7 +20,6 @@ import (
 	"prorace/internal/prog"
 	"prorace/internal/progtest"
 	"prorace/internal/race"
-	"prorace/internal/report"
 	"prorace/internal/telemetry"
 	"prorace/internal/tracefmt"
 )
@@ -81,7 +80,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("web-1", f); err != nil {
+		if err := m.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	m2.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m2.Ingest("web-1", f); err != nil {
+		if err := m2.IngestWith("web-1", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,11 +151,11 @@ func TestCorruptSegmentIsolation(t *testing.T) {
 
 	corrupt := append([]byte(nil), frames[0]...)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if err := m.Ingest("bad", corrupt); !errors.Is(err, ErrCorruptSegment) {
+	if err := m.IngestWith("bad", IngestMeta{}, corrupt); !errors.Is(err, ErrCorruptSegment) {
 		t.Fatalf("corrupt ingest error = %v, want ErrCorruptSegment", err)
 	}
 	for _, f := range frames {
-		if err := m.Ingest("good", f); err != nil {
+		if err := m.IngestWith("good", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +201,7 @@ func TestQueueAdmission(t *testing.T) {
 	}
 	ten := m.tenantFor("t")
 	ten.pending = append(ten.pending, ingestSeg{seg: seg}, ingestSeg{seg: seg})
-	if err := m.Ingest("t", frames[1]); !errors.Is(err, ErrQueueFull) {
+	if err := m.IngestWith("t", IngestMeta{}, frames[1]); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("ingest into full queue = %v, want ErrQueueFull", err)
 	}
 	st := m.Tenants()[0]
@@ -221,7 +220,7 @@ func TestUnknownProgram(t *testing.T) {
 	defer m.Close()
 	tr := tracefmt.NewTrace("no-such-program", 2, 7)
 	frame := tracefmt.EncodeSegment(tracefmt.SegmentHeader{}, tr)
-	if err := m.Ingest("t", frame); !errors.Is(err, ErrUnknownProgram) {
+	if err := m.IngestWith("t", IngestMeta{}, frame); !errors.Is(err, ErrUnknownProgram) {
 		t.Fatalf("unknown-program ingest = %v, want ErrUnknownProgram", err)
 	}
 }
@@ -243,10 +242,10 @@ func TestWorkerPool(t *testing.T) {
 	p, frames := oracleRun(t, "a", 4)
 	m.RegisterProgram(p)
 	for _, f := range frames {
-		if err := m.Ingest("a", f); err != nil {
+		if err := m.IngestWith("a", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Ingest("b", f); err != nil {
+		if err := m.IngestWith("b", IngestMeta{}, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +268,7 @@ func TestWorkerPool(t *testing.T) {
 	wp, wframes := oracleRun(t, "a", 1)
 	whole.RegisterProgram(wp)
 	for _, tenant := range []string{"a", "b"} {
-		if err := whole.Ingest(tenant, wframes[0]); err != nil {
+		if err := whole.IngestWith(tenant, IngestMeta{}, wframes[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +285,7 @@ func TestWorkerPool(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Ingest("a", frames[0]); !errors.Is(err, ErrClosed) {
+	if err := m.IngestWith("a", IngestMeta{}, frames[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ingest after close = %v, want ErrClosed", err)
 	}
 }
@@ -312,10 +311,10 @@ func TestWorkerPoolPerSegment(t *testing.T) {
 	inline.RegisterProgram(p)
 	for _, f := range frames {
 		for _, tenant := range []string{"a", "b"} {
-			if err := m.Ingest(tenant, f); err != nil {
+			if err := m.IngestWith(tenant, IngestMeta{}, f); err != nil {
 				t.Fatal(err)
 			}
-			if err := inline.Ingest(tenant, f); err != nil {
+			if err := inline.IngestWith(tenant, IngestMeta{}, f); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,8 +333,8 @@ func TestWorkerPoolPerSegment(t *testing.T) {
 }
 
 // TestStoreObserveDedup exercises the store in isolation: same race twice
-// is one row with two occurrences; Publish (the report.Sink face) works
-// without attribution.
+// is one row with two occurrences; an unattributed observation (empty
+// tenant and program) is a row of its own.
 func TestStoreObserveDedup(t *testing.T) {
 	s, err := OpenStore("")
 	if err != nil {
@@ -346,9 +345,9 @@ func TestStoreObserveDedup(t *testing.T) {
 		First:  race.AccessInfo{TID: 1, PC: 0x40, Write: true, TSC: 10},
 		Second: race.AccessInfo{TID: 2, PC: 0x80, Write: false, TSC: 20},
 	}
-	added, repeated, err := s.Observe("t", "p", []race.Report{r})
-	if err != nil || added != 1 || repeated != 0 {
-		t.Fatalf("first observe = (%d, %d, %v), want (1, 0, nil)", added, repeated, err)
+	fresh, repeated, err := s.ObserveNewAt("t", "p", []race.Report{r}, 0)
+	if err != nil || len(fresh) != 1 || repeated != 0 {
+		t.Fatalf("first observe = (%d, %d, %v), want (1, 0, nil)", len(fresh), repeated, err)
 	}
 	// A later occurrence of the same PC pair at a different address and
 	// time still dedups (heap addresses shift between runs).
@@ -356,19 +355,20 @@ func TestStoreObserveDedup(t *testing.T) {
 	r2.Addr = 0x2000
 	r2.First.TSC, r2.Second.TSC = 100, 200
 	r2.First, r2.Second = r2.Second, r2.First // unordered pair
-	added, repeated, err = s.Observe("t", "p", []race.Report{r2})
-	if err != nil || added != 0 || repeated != 1 {
-		t.Fatalf("second observe = (%d, %d, %v), want (0, 1, nil)", added, repeated, err)
+	fresh, repeated, err = s.ObserveNewAt("t", "p", []race.Report{r2}, 0)
+	if err != nil || len(fresh) != 0 || repeated != 1 {
+		t.Fatalf("second observe = (%d, %d, %v), want (0, 1, nil)", len(fresh), repeated, err)
 	}
 	if got := s.Reports()[0].Occurrences; got != 2 {
 		t.Fatalf("occurrences = %d, want 2", got)
 	}
 	// Different tenant: separate row.
-	if added, _, _ := s.Observe("other", "p", []race.Report{r}); added != 1 {
+	if fresh, _, _ := s.ObserveNewAt("other", "p", []race.Report{r}, 0); len(fresh) != 1 {
 		t.Fatal("tenant should scope fingerprints")
 	}
-	var sink report.Sink = s
-	sink.Publish([]race.Report{r})
+	if _, _, err := s.ObserveNewAt("", "", []race.Report{r}, 0); err != nil {
+		t.Fatal(err)
+	}
 	if s.Len() != 3 {
 		t.Fatalf("store rows = %d, want 3 (unattributed publish adds one)", s.Len())
 	}
@@ -401,10 +401,10 @@ func TestStoreCorruptFile(t *testing.T) {
 		t.Fatalf("preserved backup altered: %q", backup)
 	}
 	// The fresh store persists over the old path.
-	if _, _, err := s.Observe("t", "p", []race.Report{{
+	if _, _, err := s.ObserveNewAt("t", "p", []race.Report{{
 		First:  race.AccessInfo{TID: 1, PC: 0x40, Write: true},
 		Second: race.AccessInfo{TID: 2, PC: 0x80},
-	}}); err != nil {
+	}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := OpenStore(path)

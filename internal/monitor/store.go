@@ -64,10 +64,6 @@ func Fingerprint(tenant, program string, r race.Report) string {
 // empty path lives in memory only; otherwise every mutation batch is
 // persisted as JSON via an atomic temp-file rename, so a crash leaves
 // either the old or the new state, never a torn file.
-//
-// Store implements report.Sink: Publish records reports without
-// tenant/program attribution (both empty), for callers that only have the
-// generic sink shape. The daemon uses Observe, which attributes.
 type Store struct {
 	mu      sync.Mutex
 	path    string
@@ -173,29 +169,19 @@ func (s *Store) SetClock(now func() time.Time) {
 	s.mu.Unlock()
 }
 
-// Observe folds one analysis round's reports into the store, attributed to
-// (tenant, program). It returns how many races were new and how many were
-// repeat observations, and persists the store if anything changed.
-func (s *Store) Observe(tenant, program string, rs []race.Report) (added, repeated int, err error) {
-	return s.ObserveAt(tenant, program, rs, 0)
-}
-
-// ObserveAt is Observe plus a cursor advance: cursor (when non-zero) is
-// the journal index this round's analysis reached, recorded in the same
-// atomic persist as the round's observations. A round with no reports
-// advances the cursor in memory only — replaying such a round after a
-// crash is idempotent (it observes nothing again), so the extra disk
-// write would buy nothing.
-func (s *Store) ObserveAt(tenant, program string, rs []race.Report, cursor uint64) (added, repeated int, err error) {
-	fresh, repeated, err := s.ObserveNewAt(tenant, program, rs, cursor)
-	return len(fresh), repeated, err
-}
-
-// ObserveNewAt is ObserveAt, additionally returning a copy of every
-// first-seen report the batch introduced. The store's dedup is durable
+// ObserveNewAt folds one analysis round's reports into the store,
+// attributed to (tenant, program). It returns a copy of every first-seen
+// report the batch introduced and how many were repeat observations, and
+// persists the store if anything changed. The store's dedup is durable
 // (the report set reloads across restarts), which makes "fresh here"
 // exactly "alert-worthy": a race the daemon has never stored before, not
 // one re-observed by a window re-analysis or a replay.
+//
+// cursor (when non-zero) is the journal index this round's analysis
+// reached, recorded in the same atomic persist as the round's
+// observations. A round with no reports advances the cursor in memory
+// only — replaying such a round after a crash is idempotent (it observes
+// nothing again), so the extra disk write would buy nothing.
 func (s *Store) ObserveNewAt(tenant, program string, rs []race.Report, cursor uint64) (fresh []*StoredReport, repeated int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,7 +193,7 @@ func (s *Store) ObserveNewAt(tenant, program string, rs []race.Report, cursor ui
 	}
 	now := s.now()
 	// One analysis round re-reports every race in the window, so dedup
-	// within the batch: a fingerprint counts once per Observe call.
+	// within the batch: a fingerprint counts once per ObserveNewAt call.
 	inBatch := map[string]bool{}
 	for _, r := range rs {
 		fp := Fingerprint(tenant, program, r)
@@ -243,11 +229,6 @@ func (s *Store) ObserveNewAt(tenant, program string, rs []race.Report, cursor ui
 		return nil, 0, nil
 	}
 	return fresh, repeated, s.saveLocked()
-}
-
-// Publish implements report.Sink: Observe without attribution.
-func (s *Store) Publish(rs []race.Report) {
-	s.Observe("", "", rs)
 }
 
 // Reports returns the stored races, sorted by first-seen time then

@@ -1,6 +1,6 @@
 package monitor
 
-// The write-ahead segment journal. Ingest's durability contract is
+// The write-ahead segment journal. IngestWith's durability contract is
 // "accepted means survivable": every PRSG frame is appended to its
 // tenant's journal — checksummed, length-prefixed, fsynced per policy —
 // before the HTTP 200 goes out, so a daemon crash can lose only segments

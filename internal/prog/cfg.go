@@ -156,18 +156,9 @@ func (p *Program) Exits() []Exit {
 	return p.exits
 }
 
-// MemAccessesIn returns how many of the instructions at indexes [lo, hi)
-// access memory (isa.Inst.IsMemAccess), from a per-program prefix count,
-// so a straight-line run's memory steps cost two lookups. It is safe for
-// concurrent use.
-func (p *Program) MemAccessesIn(lo, hi int) int {
-	p.memOnce.Do(func() { p.memPrefix = p.prefixCount((*isa.Inst).IsMemAccess) })
-	return int(p.memPrefix[hi] - p.memPrefix[lo])
-}
-
 // SyscallsIn returns how many of the instructions at indexes [lo, hi) are
-// SYSCALLs, from a per-program prefix count like MemAccessesIn's, so a
-// straight-line run without one is skipped after two lookups. It is safe
+// SYSCALLs, from a per-program prefix count, so a straight-line run
+// without one is skipped after two lookups. It is safe
 // for concurrent use.
 func (p *Program) SyscallsIn(lo, hi int) int {
 	p.sysOnce.Do(func() {

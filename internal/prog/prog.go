@@ -56,8 +56,6 @@ type Program struct {
 	funcsByAd  []Symbol // function symbols sorted by address
 	exitsOnce  sync.Once
 	exits      []Exit // instruction index -> where its straight-line code ends
-	memOnce    sync.Once
-	memPrefix  []int32 // k -> memory-access instructions among Insts[:k]
 	sysOnce    sync.Once
 	sysPrefix  []int32 // k -> SYSCALL instructions among Insts[:k]
 }

@@ -198,21 +198,15 @@ func TestTextRegionAndDensity(t *testing.T) {
 	}
 }
 
-func TestMemAccessesIn(t *testing.T) {
+func TestSyscallsIn(t *testing.T) {
 	p := tinyProgram()
 	for lo := 0; lo <= len(p.Insts); lo++ {
 		for hi := lo; hi <= len(p.Insts); hi++ {
-			mem, sys := 0, 0
+			sys := 0
 			for _, in := range p.Insts[lo:hi] {
-				if in.IsMemAccess() {
-					mem++
-				}
 				if in.Op == isa.SYSCALL {
 					sys++
 				}
-			}
-			if got := p.MemAccessesIn(lo, hi); got != mem {
-				t.Errorf("MemAccessesIn(%d, %d) = %d, want %d", lo, hi, got, mem)
 			}
 			if got := p.SyscallsIn(lo, hi); got != sys {
 				t.Errorf("SyscallsIn(%d, %d) = %d, want %d", lo, hi, got, sys)

@@ -31,7 +31,7 @@ func tracePSBDense(t testing.TB) (*prog.Program, *goldenTracer, map[int32][]byte
 func TestLenientEqualsStrictOnCleanStream(t *testing.T) {
 	p, g, streams := tracePSBDense(t)
 	stream := streams[0]
-	strictPath, err := Decode(p, 0, stream, 0)
+	strictPath, err := DecodeWith(p, 0, stream, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLenientRecoversFromMidStreamCorruption(t *testing.T) {
 	bad := corruptMiddle(streams[0])
 
 	// Strict decode must not panic; it either errors or truncates early.
-	strictPath, strictErr := Decode(p, 0, bad, 0)
+	strictPath, strictErr := DecodeWith(p, 0, bad, Options{})
 	if strictErr == nil && strictPath.Len() >= len(g.pcs[0]) && !strictPath.Truncated {
 		t.Error("strict decode of corrupted stream reported a full clean path")
 	}
@@ -171,7 +171,7 @@ func TestStrictUnchangedByLenientMachinery(t *testing.T) {
 	// Strict mode on a corrupt stream still reports the typed error.
 	p, _, streams := tracePSBDense(t)
 	bad := corruptMiddle(streams[0])
-	_, err := Decode(p, 0, bad, 0)
+	_, err := DecodeWith(p, 0, bad, Options{})
 	if err == nil {
 		// Corruption may decode as valid-but-desynced packets; then the
 		// walk truncates instead. Either is acceptable strict behaviour,

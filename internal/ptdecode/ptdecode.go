@@ -566,12 +566,6 @@ func (d *decoder) reanchor(reason string) (uint64, bool) {
 	return pc, true
 }
 
-// Decode reconstructs the path of one thread from its packet stream in
-// strict mode. maxSteps bounds runaway decodes (0 means a large default).
-func Decode(p *prog.Program, tid int32, stream []byte, maxSteps int) (*Path, error) {
-	return DecodeWith(p, tid, stream, Options{MaxSteps: maxSteps})
-}
-
 // DecodeWith reconstructs the path of one thread from its packet stream.
 func DecodeWith(p *prog.Program, tid int32, stream []byte, opts Options) (*Path, error) {
 	d := newDecoder(p, tid, stream, opts)
@@ -901,17 +895,11 @@ func (d *decoder) finish() {
 	d.tips.release()
 }
 
-// DecodeAll decodes every thread stream of a trace in strict mode.
+// DecodeAll decodes every thread stream of a trace in strict mode, the
+// decodes sharing one Scratch. maxSteps bounds runaway decodes (0 means a
+// large default).
 func DecodeAll(p *prog.Program, streams map[int32][]byte, maxSteps int) (map[int32]*Path, error) {
-	return DecodeAllWith(p, streams, Options{MaxSteps: maxSteps})
-}
-
-// DecodeAllWith decodes every thread stream of a trace, the decodes
-// sharing one Scratch when opts brings none.
-func DecodeAllWith(p *prog.Program, streams map[int32][]byte, opts Options) (map[int32]*Path, error) {
-	if opts.Scratch == nil {
-		opts.Scratch = new(Scratch)
-	}
+	opts := Options{MaxSteps: maxSteps, Scratch: new(Scratch)}
 	out := map[int32]*Path{}
 	for tid, stream := range streams {
 		path, err := DecodeWith(p, tid, stream, opts)

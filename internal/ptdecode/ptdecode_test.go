@@ -254,7 +254,7 @@ func TestMarkersPinSamples(t *testing.T) {
 
 func TestDecodeEmptyStream(t *testing.T) {
 	p := branchyProgram()
-	path, err := Decode(p, 0, nil, 0)
+	path, err := DecodeWith(p, 0, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestDecodeTruncatedStream(t *testing.T) {
 	_, streams, _, _ := runWithPT(t, p, 1000)
 	full := streams[0]
 	// Cut the stream in half: decode must stop gracefully, truncated.
-	path, err := Decode(p, 0, full[:len(full)/2], 0)
+	path, err := DecodeWith(p, 0, full[:len(full)/2], Options{})
 	if err != nil {
 		// A cut mid-packet is a legitimate decode error; either outcome
 		// (error or truncated path) is acceptable, but no panic.
@@ -282,7 +282,7 @@ func TestDecodeTruncatedStream(t *testing.T) {
 func TestDecodeMaxSteps(t *testing.T) {
 	p := branchyProgram()
 	_, streams, _, _ := runWithPT(t, p, 1000)
-	path, err := Decode(p, 0, streams[0], 10)
+	path, err := DecodeWith(p, 0, streams[0], Options{MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDecodeWildJumpTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := d.Finish()
-	path, err := Decode(p, 0, tr.PT[0], 0)
+	path, err := DecodeWith(p, 0, tr.PT[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDecodeWildJumpTruncates(t *testing.T) {
 
 func TestDecodeGarbageStreamErrors(t *testing.T) {
 	p := branchyProgram()
-	if _, err := Decode(p, 0, []byte{0xFF, 0x01, 0x02}, 0); err == nil {
+	if _, err := DecodeWith(p, 0, []byte{0xFF, 0x01, 0x02}, Options{}); err == nil {
 		t.Error("garbage stream must error")
 	}
 }

@@ -115,7 +115,7 @@ func TestMaxStepsCutsMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, tr := traceBug(t, bug)
-	full, err := ptdecode.Decode(p, 0, tr.PT[0], 0)
+	full, err := ptdecode.DecodeWith(p, 0, tr.PT[0], ptdecode.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

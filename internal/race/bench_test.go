@@ -22,7 +22,7 @@ func BenchmarkDetectorFastTrackVsDjit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(w.Program, res.Trace)
+	tts, err := synthesis.SynthesizeWith(w.Program, res.Trace, synthesis.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,9 +38,8 @@ type Report struct {
 	// Witness, when non-empty, is a serialized internal/witness
 	// reproduction recipe (the prorace-witness text format) that replays
 	// the program deterministically to this racing pair. It is attached
-	// by the analysis layer behind AnalysisOptions.Witnesses and carried
-	// through every report.Sink; it participates in neither Key() nor
-	// String().
+	// by the analysis layer behind AnalysisOptions.Witnesses; it
+	// participates in neither Key() nor String().
 	Witness string
 }
 
@@ -326,23 +325,6 @@ func publishShadow(tel *telemetry.Registry, st ShadowStats) {
 
 // RacyAddrSet returns the distinct racy addresses, for the §5.1 feedback.
 func (d *Detector) RacyAddrSet() map[uint64]bool { return d.RacyAddrs }
-
-// Publish absorbs a batch of externally produced reports into the
-// detector's deduplicated set — the report.Sink side of the detector, for
-// folding findings from another analysis round (or another machine) into
-// this one. Published addresses join RacyAddrs so the §5.1 feedback loop
-// treats them as racy. Same single-goroutine discipline as the handlers.
-func (d *Detector) Publish(rs []Report) {
-	for i := range rs {
-		r := rs[i]
-		d.RacyAddrs[r.Addr] = true
-		if d.seen[r.Key()] || len(d.reports) >= d.opts.MaxReports {
-			continue
-		}
-		d.seen[r.Key()] = true
-		d.reports = append(d.reports, r)
-	}
-}
 
 // event is the head of a thread's happens-before-consistent event stream:
 // exactly one of Sync or Acc is set.

@@ -23,7 +23,7 @@ func allocWorkload(t *testing.T) (*workload.Workload, map[int32]*synthesis.Threa
 	if _, err := mac.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(w.Program, d.Finish())
+	tts, err := synthesis.SynthesizeWith(w.Program, d.Finish(), synthesis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

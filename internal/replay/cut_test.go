@@ -280,7 +280,7 @@ func TestBackwardWalkRatchet(t *testing.T) {
 		t.Fatal(err)
 	}
 	built, tr := traceBug(t, bug, 1000, 2)
-	tts, err := synthesis.Synthesize(built.Workload.Program, tr)
+	tts, err := synthesis.SynthesizeWith(built.Workload.Program, tr, synthesis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestForwardSkipRatchet(t *testing.T) {
 		t.Fatal(err)
 	}
 	built, tr := traceBug(t, bug, 1000, 2)
-	tts, err := synthesis.Synthesize(built.Workload.Program, tr)
+	tts, err := synthesis.SynthesizeWith(built.Workload.Program, tr, synthesis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

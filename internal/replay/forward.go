@@ -55,6 +55,9 @@ type pathState struct {
 	// served an address-known load from, for the thread's LoadLog.
 	hits     []uint64
 	logLoads bool
+	// memSteps is the path's memory-access steps, counted by the latest
+	// full forward pass (Stats.MemSteps).
+	memSteps int
 }
 
 // recovery is one recovered memory step: its address and how it was
@@ -95,6 +98,7 @@ func (ps *pathState) reset(tt *synthesis.ThreadTrace, logLoads bool) {
 	}
 	ps.hits = ps.hits[:0]
 	ps.logLoads = logLoads
+	ps.memSteps = 0
 }
 
 // isKnown reports whether step i's address is recovered.
@@ -331,13 +335,8 @@ func (e *Engine) reconstructPath(tt *synthesis.ThreadTrace, logLoads bool, passe
 		e.states.put(ps)
 	}()
 	ps.reset(tt, logLoads)
-	var st Stats
-	st.PathSteps = tt.Path.Len()
-	for _, r := range tt.Path.Runs() {
-		st.MemSteps += e.p.MemAccessesIn(int(r.Inst), int(r.Inst+r.Len))
-	}
-
 	passes(e, ps)
+	st := Stats{PathSteps: tt.Path.Len(), MemSteps: ps.memSteps}
 	accesses := e.collect(ps, &st)
 
 	// Samples that could not be pinned to the path still contribute. On a
@@ -409,13 +408,15 @@ func (e *Engine) sampleAccess(rec *tracefmt.PEBSRecord, st *Stats) Access {
 // differ from the full pass before it. Wherever it is in that pass's
 // state, it resumes from the last checkpoint at or before the next learned
 // fact and walks until a sample puts it back in that state; it stops once
-// no fact is left (DESIGN.md §10). It returns the steps it walked.
+// no fact is left (DESIGN.md §10). It returns the steps it walked. A full
+// pass also counts the path's memory-access steps into ps.memSteps.
 //
 // A step pays for its own instruction and one comparison: checkpoints,
 // learned facts and samples are handled only at ev, the first step at
 // which one of them is due.
 func (e *Engine) forwardPass(ps *pathState, full bool) (walked int) {
 	var rf regFile // all-unavailable before the first sample
+	memSteps := 0
 	mem := ps.mem
 	clear(mem) // each pass starts with no trusted emulated memory
 	memDrop := func() {
@@ -484,6 +485,7 @@ stretches:
 						}
 						switch o.kind {
 						case opLoad, opStore:
+							memSteps++
 							ps.recover(i, rec.Addr, OriginSampled)
 						case opBad:
 							e.badOp(base + i)
@@ -515,6 +517,7 @@ stretches:
 
 				switch o.kind {
 				case opLoad:
+					memSteps++
 					if !o.known(rf.avail) {
 						rf.clear(o.rd)
 						break
@@ -530,6 +533,7 @@ stretches:
 						rf.clear(o.rd)
 					}
 				case opStore:
+					memSteps++
 					if !o.known(rf.avail) {
 						// A store to an unknown location may clobber
 						// anything: conservatively invalidate the emulated
@@ -598,6 +602,9 @@ stretches:
 					// CMP/CMPI set flags only; branches are path-driven.
 				}
 			}
+		}
+		if full {
+			ps.memSteps = memSteps
 		}
 		return walked + n - from
 	}

@@ -27,7 +27,7 @@ func TestFuzzReplaySoundness(t *testing.T) {
 			if _, err := mac.Run(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			tts, err := synthesis.Synthesize(p, d.Finish())
+			tts, err := synthesis.SynthesizeWith(p, d.Finish(), synthesis.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

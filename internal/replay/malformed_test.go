@@ -21,7 +21,7 @@ import (
 func TestOpsMalformedRegisterFailsOnlyItsThread(t *testing.T) {
 	built, tr := traceBug(t, bugs.All()[0], 1000, 1)
 	p := built.Workload.Program
-	tts, err := synthesis.Synthesize(p, tr)
+	tts, err := synthesis.SynthesizeWith(p, tr, synthesis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func traceProgram(t *testing.T, p *prog.Program, period uint64, seed int64) (*go
 	if _, err := mac.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tts, err := synthesis.Synthesize(p, d.Finish())
+	tts, err := synthesis.SynthesizeWith(p, d.Finish(), synthesis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ package report
 
 import (
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 
 	"prorace/internal/prog"
 	"prorace/internal/race"
@@ -37,6 +39,43 @@ func FormatRaces(p *prog.Program, rs []race.Report) string {
 		fmt.Fprintf(&b, "[%d] %s\n", i+1, FormatRace(p, r))
 	}
 	return b.String()
+}
+
+// Printer is the CLI's report writer: it renders each batch with symbol
+// names as it arrives, deduplicating by report key so a re-published race
+// (a daemon window re-analysis, a §5.1 feedback round) prints once.
+type Printer struct {
+	mu   sync.Mutex
+	p    *prog.Program
+	w    io.Writer
+	seen map[[2]uint64]bool
+	n    int
+}
+
+// NewPrinter returns a Printer symbolising against p and writing to w.
+func NewPrinter(p *prog.Program, w io.Writer) *Printer {
+	return &Printer{p: p, w: w, seen: map[[2]uint64]bool{}}
+}
+
+// Publish renders the batch's unseen reports.
+func (pr *Printer) Publish(rs []race.Report) {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	for _, r := range rs {
+		if pr.seen[r.Key()] {
+			continue
+		}
+		pr.seen[r.Key()] = true
+		pr.n++
+		fmt.Fprintf(pr.w, "[%d] %s\n", pr.n, FormatRace(pr.p, r))
+	}
+}
+
+// Printed reports how many distinct races the printer has rendered.
+func (pr *Printer) Printed() int {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.n
 }
 
 // Table builds an aligned text table.

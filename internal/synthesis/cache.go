@@ -39,7 +39,7 @@ type Cache struct {
 
 // CacheKey identifies one synthesis result. Prog is compared by pointer:
 // workload programs are built once and shared, and a false miss merely
-// costs a re-decode.
+// costs a re-decode. Opts.Scratch is left nil: it never changes results.
 type CacheKey struct {
 	Prog        *prog.Program
 	Fingerprint uint64

@@ -101,19 +101,21 @@ type Options struct {
 	Lenient bool
 	// MaxSteps bounds each thread's decode (0 means the decoder default).
 	MaxSteps int
+	// Scratch lends the decoder its run buffers (ptdecode.Options
+	// Scratch); nil gives each decode buffers of its own. It never
+	// changes results, so a CacheKey leaves it nil.
+	Scratch *ptdecode.Scratch
 }
 
-// Synthesize combines a trace's components per thread.
-func Synthesize(p *prog.Program, tr *tracefmt.Trace) (map[int32]*ThreadTrace, error) {
-	return SynthesizeWith(p, tr, Options{})
-}
-
-// SynthesizeWith is Synthesize with explicit options.
+// SynthesizeWith combines a trace's components per thread, the decodes
+// sharing one Scratch when opts brings none.
 func SynthesizeWith(p *prog.Program, tr *tracefmt.Trace, opts Options) (map[int32]*ThreadTrace, error) {
+	if opts.Scratch == nil {
+		opts.Scratch = new(ptdecode.Scratch)
+	}
 	out := map[int32]*ThreadTrace{}
-	scratch := new(ptdecode.Scratch)
 	for _, tid := range tr.TIDs() {
-		tt, err := SynthesizeThreadScratch(p, tr, tid, opts, scratch)
+		tt, err := SynthesizeThread(p, tr, tid, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -125,24 +127,12 @@ func SynthesizeWith(p *prog.Program, tr *tracefmt.Trace, opts Options) (map[int3
 // SynthesizeThread synthesises one thread's view: decode its PT stream,
 // pin its samples and sync records, build TSC anchors. Threads are
 // independent, so callers may run this concurrently per thread — the
-// parallelisation opportunity §7.6 describes.
-func SynthesizeThread(p *prog.Program, tr *tracefmt.Trace, tid int32) (*ThreadTrace, error) {
-	return SynthesizeThreadWith(p, tr, tid, Options{})
-}
-
-// SynthesizeThreadWith is SynthesizeThread with explicit options.
-func SynthesizeThreadWith(p *prog.Program, tr *tracefmt.Trace, tid int32, opts Options) (*ThreadTrace, error) {
-	return SynthesizeThreadScratch(p, tr, tid, opts, nil)
-}
-
-// SynthesizeThreadScratch is SynthesizeThreadWith decoding with the run
-// buffers of scratch (nil: buffers of its own). A caller synthesising every
-// thread of a trace shares one scratch between them.
-func SynthesizeThreadScratch(p *prog.Program, tr *tracefmt.Trace, tid int32, opts Options, scratch *ptdecode.Scratch) (*ThreadTrace, error) {
+// parallelisation opportunity §7.6 describes — sharing one opts.Scratch.
+func SynthesizeThread(p *prog.Program, tr *tracefmt.Trace, tid int32, opts Options) (*ThreadTrace, error) {
 	tt := &ThreadTrace{TID: tid}
 	if stream, ok := tr.PT[tid]; ok {
 		path, err := ptdecode.DecodeWith(p, tid, stream, ptdecode.Options{
-			MaxSteps: opts.MaxSteps, Lenient: opts.Lenient, Scratch: scratch,
+			MaxSteps: opts.MaxSteps, Lenient: opts.Lenient, Scratch: opts.Scratch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("synthesis: tid %d: %w", tid, err)

@@ -57,7 +57,7 @@ func synthesize(t *testing.T, p *prog.Program, period uint64, seed int64) (map[i
 		t.Fatal(err)
 	}
 	tr := d.Finish()
-	tts, err := Synthesize(p, tr)
+	tts, err := SynthesizeWith(p, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSynthesizeWithoutPT(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := d.Finish()
-	tts, err := Synthesize(p, tr)
+	tts, err := SynthesizeWith(p, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,10 @@ type SpanEvent struct {
 	Dur   time.Duration `json:"dur"`
 }
 
-// Span is an in-flight stage span; End completes it and appends it to the
-// registry's span log. A nil Span (from a nil registry) is a no-op.
+// Span is an in-flight stage span; End completes it, appends it to the
+// registry's span log and returns its duration. A Span from a nil registry
+// still times its stage but records nothing, so callers read one clock
+// whether telemetry is on or off. The zero Span records nothing either.
 type Span struct {
 	r     *Registry
 	name  string
@@ -28,32 +30,31 @@ type Span struct {
 	t0    time.Time
 }
 
-// StartSpan opens a span on track 0. Returns nil (a no-op span) on a nil
-// registry — the only allocation happens when telemetry is enabled.
-func (r *Registry) StartSpan(name string) *Span { return r.StartSpanTrack(name, 0) }
+// StartSpan opens a span on track 0. On a nil registry it only reads the
+// clock: spans are values, so no registry means no allocation.
+func (r *Registry) StartSpan(name string) Span { return r.StartSpanTrack(name, 0) }
 
 // StartSpanTrack opens a span on an explicit track lane.
-func (r *Registry) StartSpanTrack(name string, track int) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, track: track, t0: time.Now()}
+func (r *Registry) StartSpanTrack(name string, track int) Span {
+	return Span{r: r, name: name, track: track, t0: time.Now()}
 }
 
-// End completes the span.
-func (s *Span) End() {
-	if s == nil {
-		return
+// End completes the span and returns its duration.
+func (s Span) End() time.Duration {
+	d := time.Since(s.t0)
+	if s.r == nil {
+		return d
 	}
 	ev := SpanEvent{
 		Name:  s.name,
 		Track: s.track,
 		Start: s.t0.Sub(s.r.epoch),
-		Dur:   time.Since(s.t0),
+		Dur:   d,
 	}
 	s.r.spanMu.Lock()
 	s.r.spans = append(s.r.spans, ev)
 	s.r.spanMu.Unlock()
+	return d
 }
 
 // traceEvent is one chrome://tracing "complete" event (ph="X"); ts and dur

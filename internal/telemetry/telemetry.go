@@ -9,7 +9,8 @@
 // # Design rules
 //
 // Every method on every metric type and on the Registry itself is nil-safe:
-// calling Add, Observe, StartSpan... on a nil receiver is a no-op. Hot
+// calling Add, Observe... on a nil receiver is a no-op, and a span started
+// on a nil registry only times its stage (spans are values). Hot
 // paths therefore resolve their metric handles once (at engine or detector
 // construction) and call through possibly-nil pointers unconditionally —
 // with telemetry disabled the handles are nil and the instrumented paths

@@ -38,8 +38,15 @@ func TestNilSafety(t *testing.T) {
 	if s.Counter("x") != 0 {
 		t.Fatal("nil snapshot Counter must be 0")
 	}
+	// A span from a nil registry still times its stage, allocation-free.
 	sp := r.StartSpan("x")
-	sp.End()
+	time.Sleep(time.Millisecond)
+	if d := sp.End(); d < time.Millisecond {
+		t.Fatalf("nil-registry span measured %v, want at least 1ms", d)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.StartSpan("x").End() }); n != 0 {
+		t.Fatalf("nil-registry span allocated %v times, want 0", n)
+	}
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WritePrometheus = %q, %v", buf.String(), err)

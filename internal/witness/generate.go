@@ -8,22 +8,13 @@ import (
 	"prorace/internal/race"
 )
 
-// GenConfig bounds witness generation.
-type GenConfig struct {
-	// Budget caps the number of replays (machine runs) generation may
-	// spend, minimization included. 0 means DefaultBudget.
-	Budget int
-	// SeedSearch is how many nearby scheduler seeds the bare-replay rung
-	// probes when the recorded seed alone does not manifest the race.
-	// 0 means DefaultSeedSearch.
-	SeedSearch int
-}
+// replayBudget caps the number of replays (machine runs) one report's
+// generation may spend, minimization included.
+const replayBudget = 48
 
-// DefaultBudget is the default replay budget per report.
-const DefaultBudget = 48
-
-// DefaultSeedSearch is the default nearby-seed probe count.
-const DefaultSeedSearch = 6
+// seedSearch is how many nearby scheduler seeds the bare-replay rung
+// probes when the recorded seed alone does not manifest the race.
+const seedSearch = 6
 
 // Outcome is the result of one witness generation attempt.
 type Outcome struct {
@@ -62,13 +53,7 @@ type Outcome struct {
 //
 // The returned witness has been replay-verified end to end; its Check
 // digests are those of its own verification replay.
-func Generate(p *prog.Program, spec ProgSpec, mcfg machine.Config, tspec *TracerSpec, rep race.Report, gc GenConfig) *Outcome {
-	if gc.Budget <= 0 {
-		gc.Budget = DefaultBudget
-	}
-	if gc.SeedSearch <= 0 {
-		gc.SeedSearch = DefaultSeedSearch
-	}
+func Generate(p *prog.Program, spec ProgSpec, mcfg machine.Config, tspec *TracerSpec, rep race.Report) *Outcome {
 	out := &Outcome{}
 	pc1, pc2 := rep.First.PC, rep.Second.PC
 
@@ -78,7 +63,7 @@ func Generate(p *prog.Program, spec ProgSpec, mcfg machine.Config, tspec *Tracer
 	mcfg.SchedDirector = nil
 
 	try := func(cfg machine.Config, forced []Pick, ts *TracerSpec) (*ExecResult, race.Report, bool) {
-		if out.Replays >= gc.Budget {
+		if out.Replays >= replayBudget {
 			return nil, race.Report{}, false
 		}
 		out.Replays++
@@ -143,7 +128,7 @@ func Generate(p *prog.Program, spec ProgSpec, mcfg machine.Config, tspec *Tracer
 	}
 
 	// Rung 3: nearby scheduler seeds, bare.
-	for k := 1; k <= gc.SeedSearch; k++ {
+	for k := 1; k <= seedSearch; k++ {
 		cfg := mcfg
 		cfg.Seed = mcfg.Seed + int64(k)*1000003
 		if res, matched, ok := try(cfg, nil, nil); ok {
@@ -156,8 +141,8 @@ func Generate(p *prog.Program, spec ProgSpec, mcfg machine.Config, tspec *Tracer
 		return finalize("traced", mcfg, nil, tspec, tracedRes, tracedMatch)
 	}
 
-	if out.Replays >= gc.Budget {
-		out.Err = fmt.Sprintf("replay budget (%d) exhausted without a verified reproduction", gc.Budget)
+	if out.Replays >= replayBudget {
+		out.Err = fmt.Sprintf("replay budget (%d) exhausted without a verified reproduction", replayBudget)
 	} else {
 		out.Err = fmt.Sprintf("race on pair %#x/%#x did not manifest under any strategy (%d replays)", pc1, pc2, out.Replays)
 	}

@@ -235,7 +235,7 @@ func TestGenerateRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal("planted race not found by the ground-truth oracle")
 	}
 
-	out := Generate(p, BugSpec(built.Bug.ID, 1), mcfg, tspec, rep, GenConfig{})
+	out := Generate(p, BugSpec(built.Bug.ID, 1), mcfg, tspec, rep)
 	if out.Witness == nil {
 		t.Fatalf("no witness generated: %s (%d replays)", out.Err, out.Replays)
 	}
@@ -285,7 +285,7 @@ func TestReplayDetectsDrift(t *testing.T) {
 	if !found {
 		t.Fatal("planted race not found")
 	}
-	out := Generate(p, BugSpec(built.Bug.ID, 1), mcfg, nil, rep, GenConfig{})
+	out := Generate(p, BugSpec(built.Bug.ID, 1), mcfg, nil, rep)
 	if out.Witness == nil {
 		t.Fatalf("no witness: %s", out.Err)
 	}
@@ -340,7 +340,7 @@ func TestGenerateSeedSearchRung(t *testing.T) {
 				continue
 			}
 			// This pair races at the nearby seed only.
-			out := Generate(p, OracleSpec(genSeed), base, nil, r, GenConfig{})
+			out := Generate(p, OracleSpec(genSeed), base, nil, r)
 			if out.Witness == nil {
 				// The pair-specific filtered verification can legitimately
 				// disagree with the full-feed discovery for pairs whose PCs

@@ -18,10 +18,10 @@ package prorace
 // zero value of the underlying options, so the resolver only has to name
 // the trace ones.
 //
-// Performance options never change results: WithWorkers, WithShadowTable
-// and WithPathCache all produce byte-identical race reports for a given
-// trace (see the package's Determinism section; the guarantee is enforced
-// by internal/oracle's metamorphic matrix).
+// Performance options never change results: WithWorkers and WithPathCache
+// both produce byte-identical race reports for a given trace (see the
+// package's Determinism section; the guarantee is enforced by
+// internal/oracle's metamorphic matrix).
 
 import "prorace/internal/core"
 
@@ -109,15 +109,6 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.analysis.Workers = n }
 }
 
-// WithShadowTable pre-sizes the detector's flat shadow table for the
-// expected number of distinct variables (addresses × allocation
-// generations), avoiding growth-and-reinsert cycles on million-variable
-// traces. 0 starts small and grows on demand; the hint never changes
-// results.
-func WithShadowTable(variables int) Option {
-	return func(c *config) { c.analysis.ShadowCapacityHint = variables }
-}
-
 // WithMaxReports bounds the race report list.
 func WithMaxReports(n int) Option {
 	return func(c *config) { c.analysis.MaxReports = n }
@@ -174,20 +165,6 @@ func WithTelemetry(reg *Telemetry) Option {
 	}
 }
 
-// WithMetricsAddr guarantees a live telemetry HTTP listener on addr
-// (e.g. "localhost:9100") for the run, serving Prometheus text at
-// /metrics, expvar-style JSON at /debug/vars, a chrome://tracing timeline
-// at /timeline, and net/http/pprof under /debug/pprof/. If no registry
-// was supplied via WithTelemetry, the process-wide default registry is
-// enabled and served. The listener is shared: repeated runs with the same
-// addr reuse one server.
-func WithMetricsAddr(addr string) Option {
-	return func(c *config) {
-		c.trace.MetricsAddr = addr
-		c.analysis.MetricsAddr = addr
-	}
-}
-
 // WithWitnesses asks the offline phase to attach a deterministic
 // reproduction recipe — a witness — to every race report
 // (Report.Witness, serialized; AnalysisResult.Witnesses, structured).
@@ -197,33 +174,8 @@ func WithMetricsAddr(addr string) Option {
 // it. The machine configuration, driver kind and PT setting of the
 // witnessed run are taken from the resolved trace options, so the option
 // composes with WithMachine / WithDriver / WithoutPT in any order.
-// Witness generation replays the program (bounded by WithWitnessBudget)
-// and never changes which races are reported.
+// Witness generation replays the program a bounded number of times per
+// report and never changes which races are reported.
 func WithWitnesses(spec WitnessSpec) Option {
-	return func(c *config) {
-		if c.analysis.Witnesses == nil {
-			c.analysis.Witnesses = &core.WitnessOptions{}
-		}
-		c.analysis.Witnesses.Spec = spec
-	}
-}
-
-// WithWitnessBudget caps the number of replays witness generation may
-// spend per report (0 = the default budget). Implies nothing without
-// WithWitnesses.
-func WithWitnessBudget(replays int) Option {
-	return func(c *config) {
-		if c.analysis.Witnesses == nil {
-			c.analysis.Witnesses = &core.WitnessOptions{}
-		}
-		c.analysis.Witnesses.Budget = replays
-	}
-}
-
-// WithThreadRetries sets how many extra attempts a transiently-failing
-// per-thread stage gets before the thread is dropped (lenient) or the
-// analysis aborts (strict). 0 means the default of one retry; negative
-// disables retries.
-func WithThreadRetries(n int) Option {
-	return func(c *config) { c.analysis.ThreadRetries = n }
+	return func(c *config) { c.analysis.Witnesses = &core.WitnessOptions{Spec: spec} }
 }
